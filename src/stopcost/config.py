@@ -11,9 +11,7 @@ class Tolerances:
     eigen_distinct: float = 1e-9      # eigenvalue (and magnitude) separation before perturbing
     perturbation: float = 1e-7        # relative size of the diagonal perturbation
     # LP
-    lp_feasibility: float = 1e-7
-    lp_pivot: float = 1e-11
-    lp_reduced_cost: float = 1e-9
+    lp_feasibility: float = 1e-7      # residual allowed in a returned LP point
     # markov
     column_sum: float = 1e-9
     entry_clamp: float = 1e-12        # magnitudes below this are treated as noise and zeroed

@@ -1,9 +1,7 @@
-"""Two-phase primal simplex on a dense tableau, with Bland's anti-cycling rule.
+"""Linear programs solved by HiGHS (`scipy.optimize.linprog`, Huangfu & Hall 2018).
 
-Deterministic by construction: the entering variable is the lowest-index column
-with an improving reduced cost, and ratio-test ties leave the basic variable
-with the lowest index. Robustness over speed; intended for the small dense
-programs this package produces.
+Only explicit ground metrics reach this module; line-metric Wasserstein
+problems are solved in closed form or by an exact one-dimensional dual.
 """
 from __future__ import annotations
 
@@ -59,151 +57,30 @@ class LpSolution:
     value: float = float("nan")
 
 
-def _simplex(tab: np.ndarray, basis: list[int], cost: np.ndarray,
-             allowed: np.ndarray, tols: Tolerances) -> str:
-    """Run Bland-rule pivots in place; returns "optimal" or "unbounded"."""
-    m = tab.shape[0]
-    z = cost.copy()
-    obj = 0.0
-    for i, bi in enumerate(basis):
-        if cost[bi] != 0.0:
-            z -= cost[bi] * tab[i, :-1]
-            obj -= cost[bi] * tab[i, -1]
-    zrow = np.append(z, obj)
-
-    while True:
-        entering = -1
-        for j in range(tab.shape[1] - 1):
-            if allowed[j] and zrow[j] < -tols.lp_reduced_cost:
-                entering = j
-                break
-        if entering < 0:
-            return "optimal"
-        col = tab[:, entering]
-        eligible = col > tols.lp_pivot
-        if not eligible.any():
-            if (col > 0).any():
-                raise RuntimeError(
-                    f"numeric instability: largest available pivot {col.max():.3e} "
-                    f"is below {tols.lp_pivot:.0e}"
-                )
-            return "unbounded"
-        ratios = np.full(m, np.inf)
-        ratios[eligible] = tab[eligible, -1] / col[eligible]
-        rmin = ratios.min()
-        ties = np.flatnonzero(ratios <= rmin + 1e-12 * (1.0 + abs(rmin)))
-        leave = min(ties, key=lambda i: basis[i])
-        pivot = tab[leave, entering]
-        if abs(pivot) < tols.lp_pivot:
-            raise RuntimeError("numeric instability: pivot magnitude below tolerance")
-        tab[leave] /= pivot
-        for i in range(m):
-            if i != leave and tab[i, entering] != 0.0:
-                tab[i] -= tab[i, entering] * tab[leave]
-        if zrow[entering] != 0.0:
-            zrow -= zrow[entering] * tab[leave]
-        tab[:, entering] = 0.0
-        tab[leave, entering] = 1.0
-        zrow[entering] = 0.0
-        basis[leave] = entering
-
-
 def lp_solve(lp: LinearProgram, tols: Tolerances = DEFAULT_TOLS) -> LpSolution:
     """Solve the program; statuses: optimal / infeasible / unbounded."""
-    c = lp.objective
-    n = c.shape[0]
-    mi, me = lp.ineq_rhs.shape[0], lp.eq_rhs.shape[0]
-    m = mi + me
+    # Imported here, not at module level: scipy.optimize takes about half as
+    # long to import as the whole package, and no CLI subcommand solves an LP.
+    from scipy.optimize import linprog
 
-    # split free variables into positive and negative parts
-    col_of_var: list[tuple[int, float]] = [(j, 1.0) for j in range(n)]
-    for j in range(n):
-        if not lp.nonneg[j]:
-            col_of_var.append((j, -1.0))
-    ns = len(col_of_var)
+    # HiGHS's default feasibility tolerance (1e-7) left up to 1.7e-8 of error on
+    # small hull LPs; at 1e-10 the error is at rounding level
+    res = linprog(-lp.objective, A_ub=lp.ineq_lhs, b_ub=lp.ineq_rhs,
+                  A_eq=lp.eq_lhs, b_eq=lp.eq_rhs,
+                  bounds=[(0.0, None) if nn else (None, None) for nn in lp.nonneg],
+                  method="highs", options={"primal_feasibility_tolerance": 1e-10,
+                                           "dual_feasibility_tolerance": 1e-10})
+    if res.status in (2, 3):
+        return LpSolution("infeasible" if res.status == 2 else "unbounded")
+    if res.status != 0:
+        raise RuntimeError(f"LP solver failed: {res.message}")
 
-    a_struct = np.zeros((m, ns))
-    rows = np.vstack([lp.ineq_lhs, lp.eq_lhs]) if m else np.zeros((0, n))
-    for k, (j, sgn) in enumerate(col_of_var):
-        a_struct[:, k] = sgn * rows[:, j]
-    b = np.concatenate([lp.ineq_rhs, lp.eq_rhs])
-
-    slack = np.zeros((m, mi))
-    for i in range(mi):
-        slack[i, i] = 1.0
-    tab_body = np.hstack([a_struct, slack])
-
-    flip = b < 0
-    tab_body[flip] *= -1.0
-    b = np.where(flip, -b, b)
-
-    # artificials: every equality row, plus inequality rows whose slack got flipped
-    art_rows = [i for i in range(m) if i >= mi or flip[i]]
-    art = np.zeros((m, len(art_rows)))
-    basis: list[int] = [0] * m
-    ncols = ns + mi + len(art_rows)
-    for k, i in enumerate(art_rows):
-        art[i, k] = 1.0
-        basis[i] = ns + mi + k
-    for i in range(mi):
-        if not flip[i]:
-            basis[i] = ns + i
-
-    tab = np.hstack([tab_body, art, np.atleast_2d(b).T])
-    allowed = np.ones(ncols, dtype=bool)
-
-    if art_rows:
-        cost1 = np.zeros(ncols)
-        cost1[ns + mi:] = 1.0
-        status = _simplex(tab, basis, cost1, allowed, tols)
-        if status != "optimal":  # pragma: no cover - phase 1 is always bounded below
-            raise RuntimeError("phase-1 simplex reported unbounded")
-        resid = sum(tab[i, -1] for i in range(m) if basis[i] >= ns + mi)
-        if resid > tols.lp_feasibility:
-            return LpSolution("infeasible")
-        # pivot remaining artificials out of the basis, or drop redundant rows
-        drop = []
-        for i in range(m):
-            if basis[i] >= ns + mi:
-                piv = next((j for j in range(ns + mi)
-                            if abs(tab[i, j]) > tols.lp_pivot), None)
-                if piv is None:
-                    drop.append(i)
-                    continue
-                p = tab[i, piv]
-                tab[i] /= p
-                for r in range(m):
-                    if r != i and tab[r, piv] != 0.0:
-                        tab[r] -= tab[r, piv] * tab[i]
-                tab[:, piv] = 0.0
-                tab[i, piv] = 1.0
-                basis[i] = piv
-        if drop:
-            keep = [i for i in range(m) if i not in drop]
-            tab = tab[keep]
-            basis = [basis[i] for i in keep]
-            m = len(keep)
-        allowed[ns + mi:] = False
-
-    cost2 = np.zeros(ncols)
-    for k, (j, sgn) in enumerate(col_of_var):
-        cost2[k] = -sgn * c[j]          # minimize -objective
-    status = _simplex(tab, basis, cost2, allowed, tols)
-    if status == "unbounded":
-        return LpSolution("unbounded")
-
-    y = np.zeros(ncols)
-    for i, bi in enumerate(basis):
-        y[bi] = tab[i, -1]
-    x = np.zeros(n)
-    for k, (j, sgn) in enumerate(col_of_var):
-        x[j] += sgn * y[k]
-
+    x = np.asarray(res.x, dtype=float)
     ftol = tols.lp_feasibility
-    if mi and (lp.ineq_lhs @ x - lp.ineq_rhs).max(initial=-np.inf) > ftol:
+    if (lp.ineq_lhs @ x - lp.ineq_rhs).max(initial=-np.inf) > ftol:
         raise RuntimeError("numeric instability: optimal point violates inequalities")
-    if me and np.abs(lp.eq_lhs @ x - lp.eq_rhs).max(initial=0.0) > ftol:
+    if np.abs(lp.eq_lhs @ x - lp.eq_rhs).max(initial=0.0) > ftol:
         raise RuntimeError("numeric instability: optimal point violates equalities")
     if np.any(x[lp.nonneg] < -ftol):
         raise RuntimeError("numeric instability: optimal point violates sign bounds")
-    return LpSolution("optimal", x, float(c @ x))
+    return LpSolution("optimal", x, float(lp.objective @ x))

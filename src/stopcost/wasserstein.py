@@ -3,10 +3,14 @@
 The dual norm of a balanced vector mu (entries summing to zero) under a ground
 metric d is max { mu.x : |x_i - x_j| <= d_ij }, which is finite once x is
 restricted to the sum-zero hyperplane. Its unit ball is the convex hull of the
-scaled pair differences (e_i - e_j)/d_ij; for the line metric d_ij = |i - j|
-the adjacent differences +-(e_i - e_{i+1}) already span the ball, which powers
-both a vertex-enumeration fast path and a compact LP for worst-case costs over
-the ball intersected with the simplex.
+scaled pair differences (e_i - e_j)/d_ij. For the line metric d_ij = |i - j|
+the adjacent differences +-(e_i - e_{i+1}) already span the ball, and the norm
+is the L1 norm of the partial sums.
+
+On the line metric the worst expected cost over the ball (within the simplex)
+is the best shifted vertex while the ball stays inside the simplex, and
+otherwise an exact one-multiplier dual (Mohajerin Esfahani & Kuhn 2018).
+Explicit metrics solve the hull LP with `lp_solve`.
 """
 from __future__ import annotations
 
@@ -76,26 +80,30 @@ class AmbiguitySet:
         p = np.where(p < 0, 0.0, p)
         object.__setattr__(self, "nominal", p)
         p.setflags(write=False)
-        if self.radius < 0:
-            raise ValueError("radius must be nonnegative")
+        if not np.isfinite(self.radius) or self.radius < 0:
+            raise ValueError(f"radius must be finite and nonnegative, got {self.radius!r}")
 
 
 @dataclass(frozen=True)
 class DrceSolution:
     value: float
     worst_q: np.ndarray
-    case_used: str                    # "vertex-enumeration" | "lp"
+    # "vertex-enumeration" (ball inside the simplex) | "lp" (ball meets the
+    # simplex boundary, or an explicit metric)
+    case_used: str
 
 
 def w_norm(mu, distance: GroundDistance = GroundDistance.line(),
            tols: Tolerances = DEFAULT_TOLS) -> float:
-    """Dual norm of a balanced vector: LP over the bounded slice of the dual ball."""
+    """Dual norm of a balanced vector: |partial sums|_1 on the line, else an LP."""
     v = as_vector(mu)
     t = v.shape[0]
     if abs(v.sum()) > tols.balance:
         raise ValueError("w_norm requires entries summing to zero")
     if t == 1:
         return 0.0
+    if distance.kind == "line":
+        return float(np.abs(np.cumsum(v)[:-1]).sum())
     d = distance.materialize(t)
     rows = []
     rhs = []
@@ -175,14 +183,56 @@ def _drce_lp(g: np.ndarray, p_hat: np.ndarray, xi: float,
     return DrceSolution(float(sol.value), q, "lp")
 
 
+def _drce_line(g: np.ndarray, p_hat: np.ndarray, xi: float) -> DrceSolution:
+    """Worst case over the line-metric ball by its exact Lagrangian dual.
+
+    D(lam) = lam xi + sum_t p_hat_t max_s (g_s - lam |s - t|) is convex and
+    piecewise linear in lam >= 0. Sending each t's mass to its inner maximiser
+    gives a law q whose piece is lam -> g.q + lam * (xi - transport cost).
+    Cutting planes between lam = 0 and a lam above the steepest step of g end
+    once the new slope leaves the bracket, after finitely many pieces; mixing
+    the two end laws at transport cost exactly xi gives the worst law.
+    """
+    t = g.shape[0]
+    idx = np.arange(t)
+
+    def last_record(v):
+        return np.maximum.accumulate(np.where(v >= np.maximum.accumulate(v), idx, 0))
+
+    def cut(lam):
+        # inner maximiser as an L1 distance transform: the best point at or left
+        # of each t and at or right of it, by two running maxima (left on ties)
+        left = last_record(g + lam * idx)
+        right = (t - 1 - last_record((g - lam * idx)[::-1]))[::-1]
+        s = np.where(g[right] - lam * (right - idx) > g[left] - lam * (idx - left), right, left)
+        return xi - float(p_hat @ np.abs(s - idx)), np.bincount(s, weights=p_hat, minlength=t)
+
+    slope_lo, q_lo = cut(0.0)
+    if slope_lo >= 0:                 # all mass moves to a maximum of g at cost <= xi
+        return DrceSolution(float(g @ q_lo), q_lo, "lp")
+    slope_hi, q_hi = cut(float(np.abs(np.diff(g)).max()) + 1.0)
+    while True:
+        slope, q = cut(float(g @ q_hi - g @ q_lo) / (slope_lo - slope_hi))
+        if not slope_lo < slope < slope_hi:
+            break
+        if slope < 0:
+            slope_lo, q_lo = slope, q
+        else:
+            slope_hi, q_hi = slope, q
+    theta = slope_hi / (slope_hi - slope_lo)
+    q = theta * q_lo + (1.0 - theta) * q_hi
+    return DrceSolution(float(g @ q), q, "lp")
+
+
 def drce_finite(seq: CostSequence, amb: AmbiguitySet,
                 tols: Tolerances = DEFAULT_TOLS) -> DrceSolution:
     """Worst expected cost over the Wasserstein ball (intersected with the simplex).
 
     With the line metric, when every shifted vertex p_hat +- xi (e_i - e_{i+1})
-    stays entrywise nonnegative the optimum sits at one of those vertices and is
-    found by direct enumeration (earliest index and + direction win ties);
-    otherwise, and for explicit metrics, the hull LP is solved.
+    stays entrywise nonnegative the optimum sits at one of those vertices: the
+    one along the steepest step of g (earliest index, then the + direction,
+    wins ties). Otherwise the line metric is solved by its exact dual and
+    explicit metrics by the hull LP.
     """
     g = seq.values
     p_hat = amb.nominal
@@ -197,22 +247,16 @@ def drce_finite(seq: CostSequence, amb: AmbiguitySet,
         d = amb.distance.materialize(t)
         return _drce_lp(g, p_hat, xi, _hull_vertices(t, d), tols)
 
-    vertices = unit_ball_vertices(t)
-    shifted = [p_hat + xi * v for v in vertices]
-    worst_entry = min(s.min() for s in shifted)
-    if worst_entry >= tols.vertex_boundary:
-        # enumeration order is the tie-break: ascending i, + before -; the center
-        # p_hat is evaluated too but can never strictly beat the best vertex
-        best_val, best_q = float(g @ shifted[0]), shifted[0]
-        for q in shifted[1:]:
-            val = float(g @ q)
-            if val > best_val:
-                best_val, best_q = val, q
-        center = float(g @ p_hat)
-        if center > best_val:
-            best_val, best_q = center, p_hat.copy()
-        return DrceSolution(best_val, best_q, "vertex-enumeration")
-    return _drce_lp(g, p_hat, xi, vertices, tols)
+    if p_hat.min() - xi < tols.vertex_boundary:
+        return _drce_line(g, p_hat, xi)
+    # vertex +-(e_i - e_{i+1}) adds -+xi * (g_{i+1} - g_i) to the nominal cost
+    step = np.diff(g)
+    i = int(np.argmax(np.abs(step)))
+    sign = 1.0 if step[i] <= 0 else -1.0
+    q = p_hat.copy()
+    q[i] += sign * xi
+    q[i + 1] -= sign * xi
+    return DrceSolution(float(g @ p_hat) + xi * abs(float(step[i])), q, "vertex-enumeration")
 
 
 def drce_with_initial_uncertainty(m, x_hat0, vertices, c, amb: AmbiguitySet,

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import stopcost
 from stopcost.cli import main
 from stopcost.finite_horizon import CostSequence, cost_sequence_naive
 from stopcost.scenarios import ComparisonReport
@@ -130,6 +135,16 @@ def test_drce_matches_library(tmp_path, capsys):
     assert case_text == expected.case_used
 
 
+def test_drce_rejects_nonfinite_radius(tmp_path, capsys):
+    model = write_json(tmp_path / "scalar.json", SCALAR_GAS)
+    nominal = tmp_path / "nominal.csv"
+    nominal.write_text("1,0.5\n2,0.5\n")
+    for radius in ("nan", "inf"):
+        code, out, err = run_cli(capsys, "drce", "--model", model,
+                                 "--nominal", str(nominal), "--radius", radius)
+        assert code == 2 and out == "" and "radius" in err
+
+
 def test_drce_rejects_duplicate_rows(tmp_path, capsys):
     model = write_json(tmp_path / "scalar.json", SCALAR_GAS)
     nominal = tmp_path / "nominal.csv"
@@ -202,6 +217,28 @@ def test_scenario_csoc_runs(tmp_path, capsys):
     row = out.strip().split("\n")[1].split(",")
     assert float(row[1]) >= float(row[0]) - 1e-9   # robust >= plug-in here
     assert 1 <= int(row[4]) <= 120
+
+
+def test_drce_and_scenario_do_not_import_the_lp_solver(tmp_path):
+    # scipy.optimize takes about half as long to import as the package itself
+    model = write_json(tmp_path / "scalar.json", SCALAR_GAS)
+    nominal = tmp_path / "nominal.csv"
+    nominal.write_text("1,1.0\n2,0.0\n3,0.0\n")
+    script = (
+        "import sys\n"
+        "from stopcost.cli import main\n"
+        f"assert main(['drce', '--model', {model!r}, '--nominal', {str(nominal)!r},"
+        " '--radius', '0.5']) == 0\n"
+        "assert main(['scenario', 'csoc', '--samples', '20', '--xi', '0']) == 0\n"
+        "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize was imported'\n"
+    )
+    src = str(Path(stopcost.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert ",lp\n" in proc.stdout       # drce took the dual (ball meets boundary) path
 
 
 def test_bench_output_parses(tmp_path, capsys):

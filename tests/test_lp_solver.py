@@ -60,7 +60,7 @@ def test_negative_rhs_row_flip():
 
 
 def test_degenerate_constraints_terminate():
-    # duplicated rows force degenerate pivots; Bland's rule must still finish
+    # duplicated rows make the program degenerate; the solve must still finish
     a = np.array([[1.0, 1.0], [1.0, 1.0], [1.0, 0.0]])
     b = np.array([1.0, 1.0, 1.0])
     lp = LinearProgram.maximize(np.array([1.0, 2.0]), ineq=(a, b))
@@ -78,7 +78,7 @@ def test_redundant_equalities():
 
 
 def test_random_inequality_lps_match_scipy():
-    """Cross-check against an independent solver on generic feasible programs."""
+    """The mapping onto linprog (sign, bounds, statuses) on generic feasible programs."""
     rng = np.random.default_rng(11)
     checked = 0
     for _ in range(60):

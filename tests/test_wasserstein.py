@@ -14,7 +14,7 @@ from stopcost.wasserstein import (
 )
 from stopcost.config import DEFAULT_TOLS
 
-from helpers import random_distribution
+from helpers import random_distribution, w1_ball_max_oracle
 
 
 def cdf_norm(mu):
@@ -63,6 +63,19 @@ def test_w_norm_axioms():
         assert w_norm(a * mu) == pytest.approx(abs(a) * w_norm(mu), abs=1e-7)
         assert w_norm(mu + nu) <= w_norm(mu) + w_norm(nu) + 1e-7
         assert w_norm(mu) >= -1e-12
+
+
+def test_explicit_line_metric_matches_cdf_oracle():
+    # the explicit-metric LP path, given the line metric as a matrix
+    rng = np.random.default_rng(212)
+    for _ in range(10):
+        t = int(rng.integers(2, 8))
+        idx = np.arange(t, dtype=float)
+        line = GroundDistance.explicit(np.abs(idx[:, None] - idx[None, :]))
+        mu = balanced(rng, t)
+        assert w_norm(mu, line) == pytest.approx(cdf_norm(mu), abs=1e-9)
+        p, q = random_distribution(rng, t), random_distribution(rng, t)
+        assert w1_distance(p, q, line) == pytest.approx(cdf_norm(p - q), abs=1e-9)
 
 
 def test_w1_between_point_masses():
@@ -215,6 +228,35 @@ def test_drce_explicit_metric_matches_scaled_line():
         assert a == pytest.approx(b, abs=1e-7)
 
 
+def test_drce_line_matches_lp_oracle():
+    """Line-metric drce_finite on both paths against an independent HiGHS LP."""
+    rng = np.random.default_rng(263)
+    labels = set()
+    for k in range(120):
+        t = int(rng.choice([2, 3, 5, 12, 40, 120])) if k < 114 else 600
+        g = rng.standard_normal(t)
+        if k % 3 == 0:
+            g = np.round(g)                          # tied costs
+        p = random_distribution(rng, t)
+        if k % 2 == 0:
+            p = p * (rng.random(t) < 0.6)            # zeros in the nominal law
+            p[int(rng.integers(t))] += 0.1
+            p /= p.sum()
+        xi = [0.0, 1e-3, float(rng.uniform(0.01, 0.5)) * (t - 1), float(t - 1),
+              0.5 * float(p.min())][k % 5]
+        sol = drce_finite(CostSequence(t, g), AmbiguitySet(p, xi))
+        expected = "vertex-enumeration" if p.min() - xi >= 1e-12 else "lp"
+        assert sol.case_used == expected
+        labels.add(sol.case_used)
+        assert abs(sol.value - w1_ball_max_oracle(g, p, xi)) <= 1e-9
+        q = sol.worst_q
+        assert q.min() >= 0.0
+        assert abs(q.sum() - 1.0) <= 1e-12
+        assert cdf_norm(q - p) <= xi + 1e-9
+        assert abs(float(g @ q) - sol.value) <= 1e-12
+    assert labels == {"vertex-enumeration", "lp"}
+
+
 def test_drce_horizon_mismatch():
     with pytest.raises(ValueError):
         drce_finite(CostSequence(3, np.zeros(3)), AmbiguitySet(np.array([1.0, 0.0]), 0.1))
@@ -259,6 +301,9 @@ def test_ambiguity_set_validation():
         AmbiguitySet(np.array([1.2, -0.2]), 0.1)         # negative entry
     with pytest.raises(ValueError):
         AmbiguitySet(np.array([0.5, 0.5]), -1.0)         # negative radius
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="radius"):
+            AmbiguitySet(np.array([0.5, 0.5]), bad)
 
 
 def test_ground_distance_validation():
