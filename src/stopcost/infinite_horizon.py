@@ -415,12 +415,12 @@ def geometric_drce(s: OscillatorySum, rho_hat: float, xi: float, eps: float,
     is maximized by projected gradient ascent with 8 evenly spaced restarts.
     Returns (rho_star, value, truncation error bound).
     """
-    if eps <= 0.0:
-        raise ValueError("eps must be positive")
+    if not math.isfinite(eps) or eps <= 0.0:
+        raise ValueError(f"eps must be finite and positive, got {eps!r}")
     if not (0.0 < rho_hat < 1.0):
         raise ValueError("rho_hat must lie in (0, 1)")
-    if xi < 0.0:
-        raise ValueError("xi must be nonnegative")
+    if not math.isfinite(xi) or xi < 0.0:
+        raise ValueError(f"radius xi must be finite and nonnegative, got {xi!r}")
 
     lo = rho_hat / (1.0 + rho_hat * xi)
     hi = 1.0 if rho_hat * xi >= 1.0 else min(1.0, rho_hat / (1.0 - rho_hat * xi))

@@ -10,7 +10,9 @@ chain as a Kronecker power, costing each state by its infected count.
 `compare_report` ties these to the estimators: given stopping-time samples it
 compares the plug-in cost at the rounded mean against the distributionally
 robust value, and uses Monte Carlo rollouts to estimate how often either one
-is exceeded in realization.
+is exceeded in realization. The rollouts of all samples step together as
+arrays; each sample's seeded substream is drawn in one call beforehand, so the
+realized costs are bit-identical to drawing and stepping one sample at a time.
 """
 from __future__ import annotations
 
@@ -245,14 +247,73 @@ def sample_horizons(lo: int, hi: int, mean: int, k: int, seed: int) -> list[int]
     return [int(t) for t in draws]
 
 
-def _rollout_cost(cum_cols: np.ndarray, cum_x0: np.ndarray, c: np.ndarray,
-                  steps: int, rng: np.random.Generator) -> float:
+# Samples are rolled out in blocks whose pre-drawn uniforms fill at most about
+# 1 MB (a block holds at least one sample, however long).
+_ROLLOUT_BLOCK_DRAWS = 1 << 17
+
+
+def _next_states(cum_flat: np.ndarray, n: int, state: np.ndarray,
+                 u: np.ndarray) -> np.ndarray:
+    """Vectorized `min(searchsorted(cum[:, s], u, side="right"), n - 1)`.
+
+    cum_flat is the C-ordered n x n array of cumulative columns. Bisection
+    over the rows of each walker's column finds the count of entries <= u
+    (a column is nondecreasing, so those entries form a prefix); `off` is the
+    flat index of row `count` in that column. A probe past the last row is
+    clamped to it, which can only overshoot when every entry is <= u, and the
+    final clamp to n - 1 absorbs that.
+    """
+    off = state
+    last = state + (n - 1) * n
+    step = 1 << (n.bit_length() - 1)
+    while step:
+        probe = np.minimum(off + (step - 1) * n, last)
+        off = np.where(cum_flat[probe] <= u, probe + n, off)
+        step >>= 1
+    return np.minimum(off // n, n - 1)
+
+
+def _rollout_costs(cum_cols: np.ndarray, cum_x0: np.ndarray, c: np.ndarray,
+                   samples: list[int], copies: int, seed: int) -> np.ndarray:
+    """Realized cost at each sampled stopping time, summed over the copies.
+
+    Sample i draws from its own substream, spawn key (i,) under the seed:
+    copy r takes draws r(t_i+1) .. r(t_i+1)+t_i, the first picking the start
+    state from x0 and each later one a step. Every sample's draws are made in
+    one call and all walkers of a block step together, longest first so the
+    walkers still moving form a prefix; the states, and hence the costs, are
+    bit-identical to drawing and stepping one copy at a time.
+    """
     n = c.shape[0]
-    state = min(int(np.searchsorted(cum_x0, rng.random(), side="right")), n - 1)
-    for _ in range(steps):
-        state = min(int(np.searchsorted(cum_cols[:, state], rng.random(),
-                                        side="right")), n - 1)
-    return float(c[state])
+    cum_flat = cum_cols.ravel()
+    ts = np.asarray(samples, dtype=np.intp)
+    block = max(1, _ROLLOUT_BLOCK_DRAWS // (copies * (int(ts.max()) + 1)))
+    costs = np.empty(ts.size)
+    for lo in range(0, ts.size, block):
+        ids = np.arange(lo, min(lo + block, ts.size))
+        ids = ids[np.argsort(-ts[ids], kind="stable")]
+        t = ts[ids]
+        widths = copies * (t + 1)
+        starts = np.cumsum(widths) - widths
+        u = np.empty(int(widths.sum()))
+        for i, first, width in zip(ids.tolist(), starts.tolist(), widths.tolist()):
+            stream = np.random.Generator(
+                np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(i,))))
+            stream.random(out=u[first:first + width])
+        # walker a * copies + r is copy r of sample ids[a]
+        base = (starts[:, None] + np.arange(copies) * (t + 1)[:, None]).ravel()
+        state = np.minimum(np.searchsorted(cum_x0, u[base], side="right"), n - 1)
+        # moving[j - 1] counts the walkers with t >= j, a prefix as t descends
+        moving = np.searchsorted(-np.repeat(t, copies), -np.arange(1, t[0] + 1),
+                                 side="right")
+        for step, k in enumerate(moving.tolist(), start=1):
+            state[:k] = _next_states(cum_flat, n, state[:k], u[base[:k] + step])
+        walker_cost = c[state].reshape(-1, copies)
+        total = np.zeros(ids.size)
+        for r in range(copies):     # in copy order, so rounding matches a running sum
+            total += walker_cost[:, r]
+        costs[ids] = total
+    return costs
 
 
 def compare_report(m, x0, c, samples, xi: float, seed: int, *,
@@ -266,7 +327,9 @@ def compare_report(m, x0, c, samples, xi: float, seed: int, *,
     the empirical horizon distribution on {1, ..., support_max or max sample}
     at radius xi. Monte Carlo rollouts, one per sample with per-sample
     substreams split from the seed, estimate how often the realized cost
-    exceeds each estimate.
+    exceeds each estimate. The rollouts run batched over blocks of samples,
+    with each sample's substream pre-drawn; the percentages are bit-identical
+    to sequential per-sample draws.
     """
     a = as_matrix(m)
     x = as_vector(x0)
@@ -301,12 +364,7 @@ def compare_report(m, x0, c, samples, xi: float, seed: int, *,
 
     cum_cols = np.cumsum(np.clip(a, 0.0, None), axis=0)
     cum_x0 = np.cumsum(np.clip(x, 0.0, None))
-    costs = np.empty(k)
-    for i, t_i in enumerate(samples):
-        stream = np.random.Generator(
-            np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(i,))))
-        costs[i] = sum(_rollout_cost(cum_cols, cum_x0, cv, t_i, stream)
-                       for _ in range(copies))
+    costs = _rollout_costs(cum_cols, cum_x0, cv, samples, copies, seed)
     pct_emp = 100.0 * float(np.mean(costs > empirical))
     pct_rob = 100.0 * float(np.mean(costs > robust))
     return ComparisonReport(empirical, robust, pct_emp, pct_rob,

@@ -82,3 +82,32 @@ def w1_ball_max_oracle(g, p_hat, xi):
     if res.status != 0:
         raise RuntimeError(f"W1-ball LP failed: {res.message}")
     return float(-res.fun)
+
+
+def rollout_costs_oracle(m, x0, c, samples, seed, copies=1):
+    """Realized cost of each sampled stopping time, one scalar draw at a time.
+
+    Sample i draws from PCG64 seeded with SeedSequence(entropy=seed,
+    spawn_key=(i,)). Each of its copies, in turn, draws its start state from
+    x0 and then steps t_i times; a draw u moves to the first state whose
+    cumulative probability (entries clipped at 0) exceeds u, or to the last
+    state if none does. The copies' end-state costs are summed in order.
+    """
+    m = np.asarray(m, dtype=float)
+    c = np.asarray(c, dtype=float)
+    n = c.shape[0]
+    cum_cols = np.cumsum(np.clip(m, 0.0, None), axis=0)
+    cum_x0 = np.cumsum(np.clip(np.asarray(x0, dtype=float), 0.0, None))
+    costs = []
+    for i, t in enumerate(samples):
+        rng = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(i,))))
+        total = 0
+        for _ in range(copies):
+            state = min(int(np.searchsorted(cum_x0, rng.random(), side="right")), n - 1)
+            for _ in range(int(t)):
+                state = min(int(np.searchsorted(cum_cols[:, state], rng.random(),
+                                                side="right")), n - 1)
+            total += float(c[state])
+        costs.append(total)
+    return np.array(costs)

@@ -194,6 +194,15 @@ def test_drce_geom_scalar(tmp_path, capsys):
     assert 0.0 <= bound <= 1e-9
 
 
+def test_drce_geom_rejects_nonfinite_radius_and_eps(tmp_path, capsys):
+    model = write_json(tmp_path / "scalar.json", SCALAR_GAS)
+    for radius, eps, name in (("nan", "1e-9", "radius"), ("inf", "1e-9", "radius"),
+                              ("0.5", "nan", "eps"), ("0.5", "inf", "eps")):
+        code, out, err = run_cli(capsys, "drce-geom", "--model", model, "--rho", "0.5",
+                                 "--radius", radius, "--eps", eps)
+        assert code == 2 and out == "" and name in err, (radius, eps, err)
+
+
 # ----------------------------------------------------- scenarios and bench ---
 
 def test_scenario_sir_output(tmp_path, capsys):
@@ -217,6 +226,23 @@ def test_scenario_csoc_runs(tmp_path, capsys):
     row = out.strip().split("\n")[1].split(",")
     assert float(row[1]) >= float(row[0]) - 1e-9   # robust >= plug-in here
     assert 1 <= int(row[4]) <= 120
+
+
+# Rows printed by the per-sample scalar rollout loop that the batched
+# rollouts replaced; the batched draws must reproduce them byte for byte.
+SCENARIO_GOLDEN_ROWS = {
+    "csoc": "0.573429053239,0.63134453283,43.4,33.8,60,4,1",
+    "sir": "0.7497612,3.1381943717,62.4,1.6,8,4,1",
+    "svir": "0.6894468,1.35825127724,56.4,16.6,8,4,1",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIO_GOLDEN_ROWS))
+def test_scenario_rows_are_pinned(name, capsys):
+    code, out, err = run_cli(capsys, "scenario", name,
+                             "--samples", "500", "--xi", "4", "--seed", "1")
+    assert code == 0, err
+    assert out == ComparisonReport.CSV_HEADER + "\n" + SCENARIO_GOLDEN_ROWS[name] + "\n"
 
 
 def test_drce_and_scenario_do_not_import_the_lp_solver(tmp_path):

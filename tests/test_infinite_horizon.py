@@ -428,3 +428,8 @@ def test_geometric_drce_validation():
         geometric_drce(s, 1.5, 0.5, 1e-6)
     with pytest.raises(ValueError):
         geometric_drce(s, 0.5, -0.1, 1e-6)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="radius"):
+            geometric_drce(s, 0.5, bad, 1e-6)
+        with pytest.raises(ValueError, match="eps"):
+            geometric_drce(s, 0.5, 0.5, bad)

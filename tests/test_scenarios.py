@@ -1,6 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from stopcost import scenarios
 from stopcost.matrix_core import mat_pow
 from stopcost.scenarios import (
     ComparisonReport,
@@ -12,6 +15,8 @@ from stopcost.scenarios import (
     person_chain,
     sample_horizons,
 )
+
+from helpers import rollout_costs_oracle
 
 
 # ------------------------------------------------------------- parameters ---
@@ -246,6 +251,110 @@ def test_compare_report_validation():
         compare_report(np.ones((2, 2)), x0, c, [2], 0.1, seed=0)
     with pytest.raises(ValueError):
         compare_report(m, np.array([0.9, 0.9]), c, [2], 0.1, seed=0)
+
+
+# ------------------------------------------------- batched rollout draws ---
+
+def _tied_chain():
+    """Six states with zero entries, so cumulative columns repeat values."""
+    m = np.array([
+        [0.5, 0.0, 0.0, 0.0, 0.0, 0.25],
+        [0.0, 0.0, 0.5, 0.0, 0.0, 0.25],
+        [0.0, 1.0, 0.0, 0.0, 0.0, 0.0],
+        [0.5, 0.0, 0.0, 0.0, 1.0, 0.0],
+        [0.0, 0.0, 0.5, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 1.0, 0.0, 0.5],
+    ])
+    x0 = np.array([0.0, 0.5, 0.0, 0.0, 0.5, 0.0])
+    return m, x0, np.array([0.0, 1.0, 2.0, 3.0, 5.0, 8.0])
+
+
+def _rollout_case(name, seed):
+    """(m, x0, c, samples, copies, support_max) for one bit-identity case."""
+    if name == "csoc":
+        p = CsocParams()
+        m, x0, c = build_csoc_overtime(p)
+        samples = sample_horizons(p.overtime_min, p.overtime_max, p.overtime_mean, 150, seed)
+        return m, x0, c, samples, p.analysts, p.overtime_max
+    if name in ("sir", "svir"):
+        m, x0, c = build_health_chain(HealthParams(model=name))
+        return m, x0, c, sample_horizons(1, 15, 8, 200, seed), 1, 15
+    rng = np.random.default_rng(seed)
+    samples = [1, 12] + [int(t) for t in rng.integers(1, 13, size=60)] + [12, 1]
+    if name == "tied":
+        m, x0, c = _tied_chain()
+        return m, x0, c, samples, 3, None
+    # "short": columns sum to 1 - 1e-12, so a draw past cum[-1] takes the clamp
+    m, x0, c = _tied_chain()
+    return m * (1.0 - 1e-12), x0, c, samples, 2, None
+
+
+@pytest.mark.parametrize("name,seed", [
+    ("csoc", 0), ("csoc", 1), ("csoc", 2),
+    ("sir", 3), ("sir", 4), ("sir", 5),
+    ("svir", 6), ("svir", 7), ("svir", 8),
+    ("tied", 9), ("tied", 10), ("tied", 11),
+    ("short", 12), ("short", 13), ("short", 14),
+])
+def test_compare_report_rollouts_match_scalar_oracle(name, seed):
+    m, x0, c, samples, copies, support_max = _rollout_case(name, seed)
+    rep = compare_report(m, x0, c, samples, 2.0, seed, copies=copies,
+                         support_max=support_max)
+    costs = rollout_costs_oracle(m, x0, c, samples, seed, copies)
+    assert rep.pct_exceed_empirical == 100.0 * float(np.mean(costs > rep.empirical_cost))
+    assert rep.pct_exceed_drce == 100.0 * float(np.mean(costs > rep.drce_cost))
+
+
+@pytest.mark.parametrize("block_draws", [1, 100, scenarios._ROLLOUT_BLOCK_DRAWS])
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 9, 17])
+def test_rollout_costs_bit_identical_with_clamps_and_blocks(n, block_draws, monkeypatch):
+    # Substochastic columns and x0 send many draws past the last cumulative
+    # value, onto the clamp to state n - 1; zeroed entries make ties.
+    rng = np.random.default_rng(1000 + n)
+    m = rng.random((n, n)) * (rng.random((n, n)) < 0.6)
+    m = 0.7 * m / np.maximum(m.sum(axis=0), 1e-300)
+    x0 = rng.random(n) * (rng.random(n) < 0.7)
+    x0 = 0.8 * x0 / max(x0.sum(), 1e-300)
+    c = rng.standard_normal(n)
+    samples = [1, 9] + [int(t) for t in rng.integers(1, 10, size=40)]
+    monkeypatch.setattr(scenarios, "_ROLLOUT_BLOCK_DRAWS", block_draws)
+    for copies in (1, 3):
+        got = scenarios._rollout_costs(np.cumsum(m, axis=0), np.cumsum(x0), c,
+                                       samples, copies, n)
+        want = rollout_costs_oracle(m, x0, c, samples, n, copies)
+        assert np.array_equal(got, want)
+
+
+def test_next_states_matches_searchsorted_on_exact_ties():
+    # Seeded draws almost never equal a cumulative value, so ties with the
+    # draw itself are set up here directly.
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 3, 4, 5, 8, 9, 16, 17, 100):
+        m = rng.random((n, n)) * (rng.random((n, n)) < 0.5)
+        cum = np.cumsum(0.9 * m / np.maximum(m.sum(axis=0), 1e-300), axis=0)
+        state = rng.integers(0, n, size=400)
+        u = np.where(rng.random(400) < 0.5,
+                     cum[rng.integers(0, n, size=400), state], rng.random(400))
+        u[:4] = (0.0, 0.95, 1.0 - 2.0 ** -53, cum[-1, state[3]])
+        want = [min(int(np.searchsorted(cum[:, s], v, side="right")), n - 1)
+                for s, v in zip(state, u)]
+        assert scenarios._next_states(cum.ravel(), n, state, u).tolist() == want
+
+
+def test_compare_report_rollout_memory_is_blocked():
+    p = CsocParams()
+    m, x0, c = build_csoc_overtime(p)
+    samples = sample_horizons(p.overtime_min, p.overtime_max, p.overtime_mean, 20_000, 0)
+    tracemalloc.start()
+    try:
+        compare_report(m, x0, c, samples, 4.0, 0, copies=p.analysts,
+                       support_max=p.overtime_max)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # drawn all at once, the uniforms alone would take 19.8 MB (2 copies x
+    # (t + 1) doubles per sample); unblocked, the traced peak is 23.9 MB
+    assert peak < 16e6, f"peak traced memory {peak / 1e6:.1f} MB"
 
 
 def test_comparison_report_csv_round_trip():
