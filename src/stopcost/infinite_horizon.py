@@ -161,15 +161,21 @@ def _decay_cap(s: OscillatorySum, tols: Tolerances) -> int:
 
 
 def _scan_first_positive(s: OscillatorySum, hi: int, floor: float) -> int | None:
-    t = 1
+    """First t in [1, hi] with g(t) > floor, or None.
+
+    The window doubles from 64 to 65,536 points, so an early hit evaluates
+    little; g is evaluated pointwise, so the hit does not depend on the windows.
+    """
+    t, width = 1, 64
     while t <= hi:
-        chunk = min(hi, t + 65535)
+        chunk = min(hi, t + width - 1)
         ts = np.arange(t, chunk + 1, dtype=np.int64)
         vals = _eval_array(s, ts)
         hits = np.flatnonzero(vals > floor)
         if hits.size:
             return int(ts[hits[0]])
         t = chunk + 1
+        width = min(2 * width, 65536)
     return None
 
 
@@ -412,7 +418,10 @@ def geometric_drce(s: OscillatorySum, rho_hat: float, xi: float, eps: float,
     The Wasserstein-1 distance between geometric laws is |1/rho - 1/rho_hat|,
     so the feasible success rates form an interval; the truncated objective
     sum_{t<=n0} g(t) (1-rho)^{t-1} rho (truncation error below eps (1-rho)^n0)
-    is maximized by projected gradient ascent with 8 evenly spaced restarts.
+    is maximized by projected gradient ascent with 8 evenly spaced restarts of
+    up to 500 steps. A restart stops at its exact fixed point, where the
+    clipped step returns the same rho: every later step would repeat the same
+    comparison, so the result is bit-identical to running all 500 steps.
     Returns (rho_star, value, truncation error bound).
     """
     if not math.isfinite(eps) or eps <= 0.0:
@@ -458,7 +467,10 @@ def geometric_drce(s: OscillatorySum, rho_hat: float, xi: float, eps: float,
                 best_rho, best_val = rho, val
             if step == 0.0:
                 break
-            rho = float(np.clip(rho + step * gradient(rho), lo, hi))
+            nxt = float(np.clip(rho + step * gradient(rho), lo, hi))
+            if nxt == rho:
+                break
+            rho = nxt
         val = objective(rho)
         if val > best_val + 1e-15 or (abs(val - best_val) <= 1e-15 and rho < best_rho):
             best_rho, best_val = rho, val

@@ -273,6 +273,18 @@ def _next_states(cum_flat: np.ndarray, n: int, state: np.ndarray,
     return np.minimum(off // n, n - 1)
 
 
+def _cumulative_columns(a: np.ndarray) -> np.ndarray:
+    """Running column sums of max(a, 0), in place in one buffer.
+
+    The rows are added in order, as np.cumsum(np.clip(a, 0, None), axis=0)
+    adds them, so the table is bit-identical without its two n x n temporaries.
+    """
+    cum = np.maximum(a, 0.0)
+    for i in range(1, cum.shape[0]):
+        np.add(cum[i - 1], cum[i], out=cum[i])
+    return cum
+
+
 def _rollout_costs(cum_cols: np.ndarray, cum_x0: np.ndarray, c: np.ndarray,
                    samples: list[int], copies: int, seed: int) -> np.ndarray:
     """Realized cost at each sampled stopping time, summed over the copies.
@@ -362,7 +374,7 @@ def compare_report(m, x0, c, samples, xi: float, seed: int, *,
     robust = drce_finite(CostSequence(horizon, g),
                          AmbiguitySet(p_hat, float(xi)), tols).value
 
-    cum_cols = np.cumsum(np.clip(a, 0.0, None), axis=0)
+    cum_cols = _cumulative_columns(a)
     cum_x0 = np.cumsum(np.clip(x, 0.0, None))
     costs = _rollout_costs(cum_cols, cum_x0, cv, samples, copies, seed)
     pct_emp = 100.0 * float(np.mean(costs > empirical))

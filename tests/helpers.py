@@ -1,4 +1,6 @@
 """Shared generators for randomized tests and independent reference oracles."""
+import math
+
 import numpy as np
 from scipy.optimize import linprog
 
@@ -18,6 +20,16 @@ def random_stable(rng, n, rho_max=0.9):
         radius = np.abs(np.linalg.eigvals(m)).max()
     target = rho_max * (0.3 + 0.7 * rng.random())
     return m * (target / radius)
+
+
+def lazy_cycle(rng, n):
+    """(M, c, x0): a slow-mixing lazy walk on a directed n-cycle with 1% uniform
+    restarts, a uniform random cost and a start in state 0."""
+    hold = rng.uniform(0.4, 0.6)
+    walk = hold * np.eye(n) + (1.0 - hold) * np.roll(np.eye(n), 1, axis=0)
+    x0 = np.zeros(n)
+    x0[0] = 1.0
+    return 0.99 * walk + 0.01 / n, rng.random(n), x0
 
 
 def random_distribution(rng, t):
@@ -111,3 +123,71 @@ def rollout_costs_oracle(m, x0, c, samples, seed, copies=1):
             total += float(c[state])
         costs.append(total)
     return np.array(costs)
+
+
+def oscillatory_values(s, ts):
+    """g(t) of an OscillatorySum at the integers ts, term by term as the package sums it."""
+    out = np.zeros(ts.shape[0])
+    tf = ts.astype(float)
+    for term in s.complex_terms:
+        ang = np.mod(tf * term.theta_deg + term.eta_deg, 360.0)
+        out += term.amplitude * term.magnitude ** tf * np.cos(np.deg2rad(ang))
+    for term in s.real_terms:
+        out += term.weight * np.sign(term.rate) ** ts * np.abs(term.rate) ** tf
+    return out
+
+
+def geometric_drce_oracle(s, rho_hat, xi, eps, fixed_steps=None):
+    """Worst geometric stopping law by the full projected-gradient search.
+
+    Every one of the 8 restarts takes all 500 steps, with no early exit, and
+    the point each restart ends on is compared once more after its loop.
+    Returns (rho_star, value, truncation error bound). If `fixed_steps` is a
+    list, each restart appends to it the first step whose update left rho
+    unchanged, or None if there was none.
+    """
+    lo = rho_hat / (1.0 + rho_hat * xi)
+    hi = 1.0 if rho_hat * xi >= 1.0 else min(1.0, rho_hat / (1.0 - rho_hat * xi))
+    lo = min(max(lo, 1e-12), 1.0 - 1e-12)
+    total = s.amplitude_total
+    zeta = s.top_magnitude
+    if total <= 0.0 or zeta <= 0.0:
+        n0 = 1
+    else:
+        n0 = max(1, math.ceil(math.log(min(eps / total, 1.0)) / math.log(zeta)) + 1)
+    ts = np.arange(1, n0 + 1, dtype=np.int64)
+    g_vals = oscillatory_values(s, ts)
+    tf = ts.astype(float)
+
+    def objective(rho):
+        return float(np.sum(g_vals * (1.0 - rho) ** (tf - 1.0) * rho))
+
+    def gradient(rho):
+        base = (1.0 - rho) ** np.maximum(tf - 2.0, 0.0)
+        dterm = np.where(ts == 1, 1.0, base * ((1.0 - rho) - (tf - 1.0) * rho))
+        return float(np.sum(g_vals * dterm))
+
+    def better(rho, val, best_rho, best_val):
+        return val > best_val + 1e-15 or (abs(val - best_val) <= 1e-15 and rho < best_rho)
+
+    step = 0.1 * (hi - lo)
+    best_rho, best_val = lo, objective(lo)
+    for start in np.linspace(lo, hi, 8):
+        rho = float(start)
+        fixed = None
+        for k in range(500):
+            val = objective(rho)
+            if better(rho, val, best_rho, best_val):
+                best_rho, best_val = rho, val
+            if step == 0.0:
+                break
+            nxt = float(np.clip(rho + step * gradient(rho), lo, hi))
+            if fixed is None and nxt == rho:
+                fixed = k
+            rho = nxt
+        if fixed_steps is not None:
+            fixed_steps.append(fixed)
+        val = objective(rho)
+        if better(rho, val, best_rho, best_val):
+            best_rho, best_val = rho, val
+    return best_rho, best_val, float(eps * (1.0 - best_rho) ** n0)

@@ -14,6 +14,8 @@ from stopcost.finite_horizon import CostSequence, cost_sequence_naive
 from stopcost.scenarios import ComparisonReport
 from stopcost.wasserstein import AmbiguitySet, drce_finite
 
+from helpers import lazy_cycle
+
 TWO_STATE = {
     "kind": "markov", "n": 2,
     "matrix": [0.8, 0.1, 0.2, 0.9],
@@ -192,6 +194,31 @@ def test_drce_geom_scalar(tmp_path, capsys):
     assert rho_star == pytest.approx(2.0 / 3.0, abs=1e-6)
     assert value == pytest.approx(0.4, abs=1e-6)
     assert 0.0 <= bound <= 1e-9
+
+
+# Rows printed before the optimizer stopped restarts at their fixed points and
+# the first-positive scan grew its windows; both must leave them byte for byte.
+UNBOUNDED_GOLDEN_ROWS = {
+    (32, "rce-inf"): "attained,8,0.492856287829",
+    (32, "drce-geom"): "0.0181818181818,0.429817201252,4.48997732853e-21",
+    (64, "rce-inf"): "attained,2,0.740580638173",
+    (64, "drce-geom"): "0.0222222222222,0.581953873953,2.85962543072e-28",
+    (128, "rce-inf"): "attained,16,0.639555691547",
+    (128, "drce-geom"): "0.0222222222222,0.534834229929,2.8545818907e-30",
+}
+
+
+@pytest.mark.parametrize("n, command", sorted(UNBOUNDED_GOLDEN_ROWS))
+def test_unbounded_rows_are_pinned(n, command, tmp_path, capsys):
+    m, c, x0 = lazy_cycle(np.random.default_rng(5 + n), n)
+    model = write_json(tmp_path / "cycle.json", {"kind": "markov", "n": n,
+                                                  "matrix": m.ravel().tolist(),
+                                                  "cost": c.tolist(), "x0": x0.tolist()})
+    extra = ("--rho", "0.02", "--radius", "5") if command == "drce-geom" else ()
+    code, out, err = run_cli(capsys, command, "--model", model, *extra)
+    assert code == 0, err
+    header = "kind,t_star,value" if command == "rce-inf" else "rho_star,value,truncation_bound"
+    assert out == header + "\n" + UNBOUNDED_GOLDEN_ROWS[n, command] + "\n"
 
 
 def test_drce_geom_rejects_nonfinite_radius_and_eps(tmp_path, capsys):

@@ -7,6 +7,7 @@ from stopcost.infinite_horizon import (
     ComplexTerm,
     OscillatorySum,
     RealTerm,
+    _scan_first_positive,
     adversarial_instance,
     bezout_steps,
     decompose,
@@ -18,9 +19,10 @@ from stopcost.infinite_horizon import (
     rce_infinite,
     rce_infinite_2d,
 )
+from stopcost.markov_gas import MarkovChain, project_state, to_gas, transfer_cost
 from stopcost.matrix_core import mat_pow
 
-from helpers import random_stable
+from helpers import geometric_drce_oracle, lazy_cycle, oscillatory_values, random_stable
 
 DIAG = np.diag([0.9, -0.5])
 ONES = np.array([1.0, 1.0])
@@ -203,6 +205,38 @@ def test_find_t0_always_returns_positive_witness():
         if cut.t0 is not None:
             floor = 1e-12 * max(1.0, s.amplitude_total)
             assert eval_g(s, cut.t0) > floor
+
+
+def first_positive_in_one_window(s, hi, floor):
+    hits = np.flatnonzero(oscillatory_values(s, np.arange(1, hi + 1, dtype=np.int64)) > floor)
+    return int(hits[0]) + 1 if hits.size else None
+
+
+def turning_positive_at(t, theta_deg=1.0):
+    """One damped cosine that is negative on 1..t-1 and positive at t."""
+    eta = 270.0 - theta_deg * (t - 0.5)
+    return OscillatorySum((ComplexTerm(1.0, 0.99999, theta_deg, eta),), ())
+
+
+def test_scan_windows_find_the_same_first_positive():
+    m, x0, c = adversarial_instance(130)
+    late = decompose(m, c, x0)
+    cases = [                        # (sum, hi, floor, first t with g(t) > floor)
+        (turning_positive_at(1), 1000, 0.0, 1),
+        (turning_positive_at(64), 1000, 0.0, 64),
+        (turning_positive_at(65), 1000, 0.0, 65),
+        (turning_positive_at(150), 1000, 1e-12, 150),
+        (turning_positive_at(193, theta_deg=0.5), 193, 1e-12, 193),
+        (turning_positive_at(150_000, theta_deg=0.001), 200_000, 1e-12, 150_000),
+        (late, 1000, 0.0, 819),
+        (late, 830, 0.0, 819),       # the hit lands in a window cut short by hi
+        (late, 818, 0.0, None),      # hi is one short of the hit and off the window edges
+        (late, 1000, 1e-12, None),   # 2^-819 is under the floor
+        (OscillatorySum((), (RealTerm(-1.0, 0.9999),)), 200_000, 0.0, None),
+    ]
+    for s, hi, floor, first in cases:
+        assert first_positive_in_one_window(s, hi, floor) == first
+        assert _scan_first_positive(s, hi, floor) == first, (s, hi, floor)
 
 
 # ---------------------------------------------------------------- find_n0 ---
@@ -433,3 +467,57 @@ def test_geometric_drce_validation():
             geometric_drce(s, 0.5, bad, 1e-6)
         with pytest.raises(ValueError, match="eps"):
             geometric_drce(s, 0.5, 0.5, bad)
+
+
+def cycle_sum(n, seed):
+    """The oscillatory sum that `drce-geom` builds for a lazy-cycle chain."""
+    m, c, x0 = lazy_cycle(np.random.default_rng(seed), n)
+    gas = to_gas(MarkovChain.from_transition(m))
+    cost, _ = transfer_cost(gas, c)
+    return decompose(gas.m_bar, cost, project_state(gas, x0))
+
+
+def assert_matches_full_search(s, rho_hat, xi, eps=1e-9):
+    fixed_steps = []
+    expected = geometric_drce_oracle(s, rho_hat, xi, eps, fixed_steps)
+    assert geometric_drce(s, rho_hat, xi, eps) == expected, (rho_hat, xi)
+    return expected, fixed_steps
+
+
+def test_geometric_drce_equals_full_search_on_random_systems():
+    rng = np.random.default_rng(359)
+    for n in range(1, 13):
+        m = random_stable(rng, n)
+        s = decompose(m, rng.standard_normal(n), rng.standard_normal(n))
+        if s.is_empty:
+            continue
+        assert_matches_full_search(s, 0.3, 0.5)
+        assert_matches_full_search(s, float(rng.uniform(0.05, 0.9)), float(rng.uniform(0.0, 2.0)))
+
+
+def test_geometric_drce_equals_full_search_on_lazy_cycles():
+    for n in (32, 64, 128):
+        s = cycle_sum(n, 5 + n)
+        _, fixed_steps = assert_matches_full_search(s, 0.02, 5.0)
+        assert None not in fixed_steps            # every restart stops early here
+        _, fixed_steps = assert_matches_full_search(s, 0.02, 0.0)
+        assert fixed_steps == [None] * 8          # xi = 0: one point, no steps
+
+
+def test_geometric_drce_equals_full_search_when_no_restart_settles():
+    _, fixed_steps = assert_matches_full_search(cycle_sum(64, 69), 0.5, 0.2)
+    assert fixed_steps == [None] * 8
+    # with this curvature the restarts end cycling between two floats that
+    # straddle the interior maximum, so no step ever returns the same rho
+    s = decompose(np.diag([0.9, 0.2]), [40.0, -121.6], ONES)
+    _, fixed_steps = assert_matches_full_search(s, 0.3, 0.5)
+    assert fixed_steps == [None] * 8
+
+
+def test_geometric_drce_equals_full_search_at_interior_fixed_points():
+    lo, hi = 0.3 / 1.15, 0.3 / 0.85
+    for scale in (5.0, 10.0):
+        s = decompose(np.diag([0.9, 0.2]), [scale, -3.04 * scale], ONES)
+        (rho_star, _, _), fixed_steps = assert_matches_full_search(s, 0.3, 0.5)
+        assert None not in fixed_steps
+        assert lo < rho_star < hi

@@ -325,6 +325,16 @@ def test_rollout_costs_bit_identical_with_clamps_and_blocks(n, block_draws, monk
         assert np.array_equal(got, want)
 
 
+def test_cumulative_columns_equal_clipped_cumsum():
+    svir, _, _ = build_health_chain(HealthParams(model="svir"))
+    # entries just below zero pass validation and must be clipped to zero
+    tiny_negative, _, _ = _tied_chain()
+    tiny_negative[tiny_negative == 0.0] = -0.5e-12
+    for a in (svir, tiny_negative, svir[:1, :1]):
+        want = np.cumsum(np.clip(a, 0.0, None), axis=0)
+        assert np.array_equal(scenarios._cumulative_columns(a), want)
+
+
 def test_next_states_matches_searchsorted_on_exact_ties():
     # Seeded draws almost never equal a cumulative value, so ties with the
     # draw itself are set up here directly.
