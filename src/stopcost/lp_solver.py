@@ -1,7 +1,8 @@
 """Linear programs solved by HiGHS (`scipy.optimize.linprog`, Huangfu & Hall 2018).
 
-Only explicit ground metrics reach this module; line-metric Wasserstein
-problems are solved in closed form or by an exact one-dimensional dual.
+Two callers remain: the explicit-metric dual norm `w_norm` (and so
+`w1_distance`), and `wasserstein._drce_lp`, the hull LP kept as a reference
+for tests. `drce_finite` solves every metric by an exact one-dimensional dual.
 """
 from __future__ import annotations
 

@@ -7,10 +7,12 @@ scaled pair differences (e_i - e_j)/d_ij. For the line metric d_ij = |i - j|
 the adjacent differences +-(e_i - e_{i+1}) already span the ball, and the norm
 is the L1 norm of the partial sums.
 
-On the line metric the worst expected cost over the ball (within the simplex)
-is the best shifted vertex while the ball stays inside the simplex, and
-otherwise an exact one-multiplier dual (Mohajerin Esfahani & Kuhn 2018).
-Explicit metrics solve the hull LP with `lp_solve`.
+The worst expected cost over the ball (within the simplex) is, on the line
+metric, the best shifted vertex while the ball stays inside the simplex. In
+every other case, and for every explicit metric, it is an exact
+one-multiplier dual (Mohajerin Esfahani & Kuhn 2018) that needs no LP. Only
+`_drce_lp`, the hull LP kept as a reference for tests, and the explicit-metric
+`w_norm`/`w1_distance` call `lp_solve`.
 """
 from __future__ import annotations
 
@@ -26,18 +28,24 @@ from .matrix_core import as_matrix, as_vector
 
 @dataclass(frozen=True)
 class GroundDistance:
-    """Metric on horizon points 1..T: the default line metric |i - j|, or explicit."""
+    """Metric on horizon points 1..T: the default line metric |i - j|, or explicit.
+
+    An explicit matrix is checked to be a metric, copied and made read-only.
+    """
 
     kind: str = "line"
     matrix: np.ndarray | None = None
 
-    @classmethod
-    def line(cls) -> "GroundDistance":
-        return cls("line", None)
-
-    @classmethod
-    def explicit(cls, matrix) -> "GroundDistance":
-        d = as_matrix(matrix)
+    def __post_init__(self):
+        if self.kind == "line":
+            if self.matrix is not None:
+                raise ValueError("the line metric takes no distance matrix")
+            return
+        if self.kind != "explicit":
+            raise ValueError(f"ground metric kind must be 'line' or 'explicit', got {self.kind!r}")
+        if self.matrix is None:
+            raise ValueError("an explicit ground metric needs a distance matrix")
+        d = as_matrix(self.matrix).copy()
         t = d.shape[0]
         if d.shape[0] != d.shape[1]:
             raise ValueError("distance matrix must be square")
@@ -51,7 +59,16 @@ class GroundDistance:
         for k in range(t):
             if np.any(d > d[:, [k]] + d[[k], :] + 1e-12):
                 raise ValueError("distance matrix violates the triangle inequality")
-        return cls("explicit", d)
+        d.setflags(write=False)
+        object.__setattr__(self, "matrix", d)
+
+    @classmethod
+    def line(cls) -> "GroundDistance":
+        return cls("line", None)
+
+    @classmethod
+    def explicit(cls, matrix) -> "GroundDistance":
+        return cls("explicit", matrix)
 
     def materialize(self, t: int) -> np.ndarray:
         if self.kind == "line":
@@ -88,8 +105,9 @@ class AmbiguitySet:
 class DrceSolution:
     value: float
     worst_q: np.ndarray
-    # "vertex-enumeration" (ball inside the simplex) | "lp" (ball meets the
-    # simplex boundary, or an explicit metric)
+    # "vertex-enumeration" (line metric, ball inside the simplex) | "lp" (the
+    # exact dual: the ball meets the simplex boundary, or an explicit metric);
+    # the label predates the dual, which solves no LP
     case_used: str
 
 
@@ -151,18 +169,6 @@ def unit_ball_vertices(t: int) -> list[np.ndarray]:
     return out
 
 
-def _hull_vertices(t: int, d: np.ndarray) -> list[np.ndarray]:
-    # general metric: all scaled pair differences (e_i - e_j)/d_ij
-    out = []
-    for i in range(t):
-        for j in range(t):
-            if i != j:
-                v = np.zeros(t)
-                v[i], v[j] = 1.0, -1.0
-                out.append(v / d[i, j])
-    return out
-
-
 def _drce_lp(g: np.ndarray, p_hat: np.ndarray, xi: float,
              vertices: list[np.ndarray], tols: Tolerances) -> DrceSolution:
     t = p_hat.shape[0]
@@ -183,34 +189,52 @@ def _drce_lp(g: np.ndarray, p_hat: np.ndarray, xi: float,
     return DrceSolution(float(sol.value), q, "lp")
 
 
-def _drce_line(g: np.ndarray, p_hat: np.ndarray, xi: float) -> DrceSolution:
-    """Worst case over the line-metric ball by its exact Lagrangian dual.
+def _drce_dual(g: np.ndarray, p_hat: np.ndarray, xi: float,
+               d: np.ndarray | None = None) -> DrceSolution:
+    """Worst case over the ball by its exact Lagrangian dual; `d` None is the line.
 
-    D(lam) = lam xi + sum_t p_hat_t max_s (g_s - lam |s - t|) is convex and
+    D(lam) = lam xi + sum_t p_hat_t max_s (g_s - lam d(s, t)) is convex and
     piecewise linear in lam >= 0. Sending each t's mass to its inner maximiser
     gives a law q whose piece is lam -> g.q + lam * (xi - transport cost).
-    Cutting planes between lam = 0 and a lam above the steepest step of g end
-    once the new slope leaves the bracket, after finitely many pieces; mixing
-    the two end laws at transport cost exactly xi gives the worst law.
+    Cutting planes between lam = 0 and a lam above the steepest ratio
+    (g_s - g_t) / d(s, t) end once the new slope leaves the bracket, after
+    finitely many pieces; mixing the two end laws at transport cost exactly xi
+    gives the worst law.
     """
     t = g.shape[0]
     idx = np.arange(t)
 
-    def last_record(v):
-        return np.maximum.accumulate(np.where(v >= np.maximum.accumulate(v), idx, 0))
+    if d is None:
+        def last_record(v):
+            return np.maximum.accumulate(np.where(v >= np.maximum.accumulate(v), idx, 0))
+
+        def inner(lam):
+            # an L1 distance transform: the best point at or left of each t and
+            # at or right of it, by two running maxima (left on ties)
+            left = last_record(g + lam * idx)
+            right = (t - 1 - last_record((g - lam * idx)[::-1]))[::-1]
+            s = np.where(g[right] - lam * (right - idx) > g[left] - lam * (idx - left),
+                         right, left)
+            return s, float(p_hat @ np.abs(s - idx))
+
+        steepest = float(np.abs(np.diff(g)).max())
+    else:
+        def inner(lam):
+            s = np.argmax(g[:, None] - lam * d, axis=0)      # earliest s on ties
+            return s, float(p_hat @ d[s, idx])
+
+        # adding the identity only turns the zero diagonal's 0/0 into 0, and
+        # the off-diagonal maximum is >= 0 because d is symmetric
+        steepest = float(((g[:, None] - g) / (d + np.eye(t))).max())
 
     def cut(lam):
-        # inner maximiser as an L1 distance transform: the best point at or left
-        # of each t and at or right of it, by two running maxima (left on ties)
-        left = last_record(g + lam * idx)
-        right = (t - 1 - last_record((g - lam * idx)[::-1]))[::-1]
-        s = np.where(g[right] - lam * (right - idx) > g[left] - lam * (idx - left), right, left)
-        return xi - float(p_hat @ np.abs(s - idx)), np.bincount(s, weights=p_hat, minlength=t)
+        s, cost = inner(lam)
+        return xi - cost, np.bincount(s, weights=p_hat, minlength=t)
 
     slope_lo, q_lo = cut(0.0)
     if slope_lo >= 0:                 # all mass moves to a maximum of g at cost <= xi
         return DrceSolution(float(g @ q_lo), q_lo, "lp")
-    slope_hi, q_hi = cut(float(np.abs(np.diff(g)).max()) + 1.0)
+    slope_hi, q_hi = cut(steepest + 1.0)
     while True:
         slope, q = cut(float(g @ q_hi - g @ q_lo) / (slope_lo - slope_hi))
         if not slope_lo < slope < slope_hi:
@@ -231,8 +255,8 @@ def drce_finite(seq: CostSequence, amb: AmbiguitySet,
     With the line metric, when every shifted vertex p_hat +- xi (e_i - e_{i+1})
     stays entrywise nonnegative the optimum sits at one of those vertices: the
     one along the steepest step of g (earliest index, then the + direction,
-    wins ties). Otherwise the line metric is solved by its exact dual and
-    explicit metrics by the hull LP.
+    wins ties). Otherwise, and for every explicit metric, the exact dual
+    `_drce_dual` solves it; no path here calls `lp_solve`.
     """
     g = seq.values
     p_hat = amb.nominal
@@ -244,11 +268,9 @@ def drce_finite(seq: CostSequence, amb: AmbiguitySet,
         return DrceSolution(float(g[0]), p_hat.copy(), "vertex-enumeration")
 
     if amb.distance.kind != "line":
-        d = amb.distance.materialize(t)
-        return _drce_lp(g, p_hat, xi, _hull_vertices(t, d), tols)
-
+        return _drce_dual(g, p_hat, xi, amb.distance.materialize(t))
     if p_hat.min() - xi < tols.vertex_boundary:
-        return _drce_line(g, p_hat, xi)
+        return _drce_dual(g, p_hat, xi)
     # vertex +-(e_i - e_{i+1}) adds -+xi * (g_{i+1} - g_i) to the nominal cost
     step = np.diff(g)
     i = int(np.argmax(np.abs(step)))

@@ -2,6 +2,7 @@
 import math
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog
 
 
@@ -94,6 +95,40 @@ def w1_ball_max_oracle(g, p_hat, xi):
     if res.status != 0:
         raise RuntimeError(f"W1-ball LP failed: {res.message}")
     return float(-res.fun)
+
+
+def _transport_plan_rows(t):
+    """Row sums of a T x T transport plan flattened row-major (plan[t, s] at t*T + s)."""
+    return sparse.kron(sparse.eye(t), np.ones((1, t)))
+
+
+def explicit_ball_max_oracle(g, p_hat, xi, d):
+    """max g.q over distributions q within W1 distance xi of p_hat under the metric d.
+
+    Transport-plan form, by HiGHS: plan[t, s] >= 0 moves mass from t to s, its
+    rows sum to p_hat, sum(plan * d) <= xi, and q is its column sums, so the
+    objective is sum plan[t, s] g_s.
+    """
+    g = np.asarray(g, dtype=float)
+    d = np.asarray(d, dtype=float)
+    t = g.size
+    res = linprog(-np.tile(g, t), A_ub=d.reshape(1, -1), b_ub=[xi],
+                  A_eq=_transport_plan_rows(t), b_eq=p_hat, bounds=(0, None), method="highs")
+    if res.status != 0:
+        raise RuntimeError(f"transport-plan ball LP failed: {res.message}")
+    return float(-res.fun)
+
+
+def explicit_w1_oracle(p, q, d):
+    """W1(p, q) under the metric d: the cheapest transport plan, by HiGHS."""
+    d = np.asarray(d, dtype=float)
+    t = d.shape[0]
+    cols = sparse.kron(np.ones((1, t)), sparse.eye(t))
+    res = linprog(d.ravel(), A_eq=sparse.vstack([_transport_plan_rows(t), cols]),
+                  b_eq=np.r_[p, q], bounds=(0, None), method="highs")
+    if res.status != 0:
+        raise RuntimeError(f"transport LP failed: {res.message}")
+    return float(res.fun)
 
 
 def rollout_costs_oracle(m, x0, c, samples, seed, copies=1):

@@ -283,6 +283,12 @@ def test_drce_and_scenario_do_not_import_the_lp_solver(tmp_path):
         f"assert main(['drce', '--model', {model!r}, '--nominal', {str(nominal)!r},"
         " '--radius', '0.5']) == 0\n"
         "assert main(['scenario', 'csoc', '--samples', '20', '--xi', '0']) == 0\n"
+        "import numpy as np\n"
+        "from stopcost import AmbiguitySet, CostSequence, GroundDistance, drce_finite\n"
+        "d = GroundDistance.explicit([[0, 1, 2], [1, 0, 1], [2, 1, 0]])\n"
+        "sol = drce_finite(CostSequence(3, np.array([0.0, 1.0, 0.0])),\n"
+        "                  AmbiguitySet(np.array([1.0, 0.0, 0.0]), 0.5, d))\n"
+        "assert sol.case_used == 'lp' and abs(sol.value - 0.5) <= 1e-12, sol\n"
         "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize was imported'\n"
     )
     src = str(Path(stopcost.__file__).resolve().parents[1])

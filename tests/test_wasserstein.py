@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import shortest_path
 
 from stopcost.finite_horizon import CostSequence, cost_sequence_naive
 from stopcost.wasserstein import (
@@ -14,7 +15,12 @@ from stopcost.wasserstein import (
 )
 from stopcost.config import DEFAULT_TOLS
 
-from helpers import random_distribution, w1_ball_max_oracle
+from helpers import (
+    explicit_ball_max_oracle,
+    explicit_w1_oracle,
+    random_distribution,
+    w1_ball_max_oracle,
+)
 
 
 def cdf_norm(mu):
@@ -257,6 +263,58 @@ def test_drce_line_matches_lp_oracle():
     assert labels == {"vertex-enumeration", "lp"}
 
 
+def explicit_metrics(rng, t):
+    """(name, matrix) for the explicit metrics the dual is checked on."""
+    pts = rng.standard_normal((t, 2))
+    diff = pts[:, None, :] - pts[None, :, :]
+    # a random connected graph: a random spanning tree plus a few more edges
+    w = np.zeros((t, t))
+    order = rng.permutation(t)
+    for k in range(1, t):
+        w[order[k], order[int(rng.integers(k))]] = rng.uniform(0.1, 2.0)
+    extra = rng.random((t, t)) < 2.0 / t
+    w = np.where(extra & (w == 0), rng.uniform(0.1, 2.0, (t, t)), w)
+    w = np.triu(w + w.T, 1)
+    idx = np.arange(t, dtype=float)
+    return [("l2", np.sqrt((diff ** 2).sum(-1))),
+            ("l1", np.abs(diff).sum(-1)),
+            ("discrete", 1.0 - np.eye(t)),
+            ("graph", shortest_path(w, directed=False)),
+            ("line", np.abs(idx[:, None] - idx[None, :]))]
+
+
+def test_drce_explicit_matches_transport_oracle():
+    """Explicit-metric drce_finite against an independent transport-plan LP."""
+    rng = np.random.default_rng(269)
+    k = 0
+    for t in (2, 3, 5, 12, 40, 120):
+        for name, d in explicit_metrics(rng, t):
+            for r in range(5):
+                g = rng.standard_normal(t)
+                if k % 3 == 0:
+                    g = np.round(g)                          # tied costs
+                p = random_distribution(rng, t)
+                if k % 2 == 0:
+                    p = p * (rng.random(t) < 0.6)            # zeros in the nominal law
+                    p[int(rng.integers(t))] += 0.1
+                    p /= p.sum()
+                k += 1
+                xi = [0.0, 1e-3, float(rng.uniform(0.01, 0.5)) * d.max(), 1.5 * d.max(),
+                      0.5 * float(p.min())][r]
+                amb = AmbiguitySet(p, xi, GroundDistance.explicit(d))
+                sol = drce_finite(CostSequence(t, g), amb)
+                assert sol.case_used == "lp"
+                assert abs(sol.value - explicit_ball_max_oracle(g, p, xi, d)) <= 1e-9
+                q = sol.worst_q
+                assert q.min() >= 0.0
+                assert abs(q.sum() - 1.0) <= 1e-12
+                assert abs(float(g @ q) - sol.value) <= 1e-12
+                assert explicit_w1_oracle(p, q, d) <= xi + 1e-9
+                if name == "line":
+                    line = drce_finite(CostSequence(t, g), AmbiguitySet(p, xi))
+                    assert abs(sol.value - line.value) <= 1e-12
+
+
 def test_drce_horizon_mismatch():
     with pytest.raises(ValueError):
         drce_finite(CostSequence(3, np.zeros(3)), AmbiguitySet(np.array([1.0, 0.0]), 0.1))
@@ -272,6 +330,14 @@ def test_initial_uncertainty_picks_worst_vertex():
     amb = AmbiguitySet(np.array([0.4, 0.3, 0.3]), 0.2)
     value, idx = drce_with_initial_uncertainty(m, x_hat, offsets, c, amb)
     per_vertex = [drce_finite(cost_sequence_naive(m, x_hat + u, c, 3), amb).value
+                  for u in offsets]
+    assert value == pytest.approx(max(per_vertex), abs=1e-12)
+    assert idx == int(np.argmax(per_vertex))
+    # and with an explicit metric, which takes the same dual
+    explicit = AmbiguitySet(amb.nominal, 0.2, GroundDistance.explicit(
+        np.array([[0.0, 1.0, 0.5], [1.0, 0.0, 0.8], [0.5, 0.8, 0.0]])))
+    value, idx = drce_with_initial_uncertainty(m, x_hat, offsets, c, explicit)
+    per_vertex = [drce_finite(cost_sequence_naive(m, x_hat + u, c, 3), explicit).value
                   for u in offsets]
     assert value == pytest.approx(max(per_vertex), abs=1e-12)
     assert idx == int(np.argmax(per_vertex))
@@ -316,6 +382,20 @@ def test_ground_distance_validation():
     bad_triangle = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
     with pytest.raises(ValueError):
         GroundDistance.explicit(bad_triangle)
+    with pytest.raises(ValueError, match="kind"):
+        GroundDistance("manhattan")
+    with pytest.raises(ValueError, match="needs a distance matrix"):
+        GroundDistance("explicit")
+    with pytest.raises(ValueError, match="no distance matrix"):
+        GroundDistance("line", np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="triangle"):
+        GroundDistance("explicit", bad_triangle)
+    # the metric keeps its own read-only copy of the caller's matrix
+    a = np.array([[0.0, 1.0, 2.0], [1.0, 0.0, 1.0], [2.0, 1.0, 0.0]])
+    dist = GroundDistance.explicit(a)
+    a[0, 2] = a[2, 0] = 50.0
+    assert dist.matrix[0, 2] == 2.0
+    assert not dist.matrix.flags.writeable
 
 
 def test_line_distance_materialize():
