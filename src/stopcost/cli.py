@@ -27,7 +27,7 @@ import numpy as np
 
 from .finite_horizon import CostSequence, cost_sequence_naive, cost_sequence_strided, rce_finite
 from .infinite_horizon import decompose, geometric_drce, rce_infinite
-from .markov_gas import MarkovChain, build_ab, project_state, to_gas, transfer_cost
+from .markov_gas import MarkovChain, project_state, to_gas, transfer_cost
 from .matrix_core import mat_pow
 from .scenarios import CsocParams, HealthParams, build_csoc_overtime, \
     build_health_chain, compare_report, sample_horizons
@@ -131,13 +131,12 @@ def cmd_convert(args) -> str:
         raise ValueError("convert expects a markov model file")
     chain = MarkovChain.from_transition(model.matrix)
     gas = to_gas(chain)
-    a_op, b_op = build_ab(model.n)
     out = {
         "kind": "gas",
         "n": model.n - 1,
         "matrix": gas.m_bar.ravel().tolist(),
-        "a_op": a_op.ravel().tolist(),
-        "b_op": b_op.ravel().tolist(),
+        "a_op": gas.a_op.ravel().tolist(),
+        "b_op": gas.b_op.ravel().tolist(),
         "stationary": gas.stationary.tolist(),
     }
     if model.cost is not None:

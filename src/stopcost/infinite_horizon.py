@@ -10,7 +10,10 @@ with every magnitude below 1. The supremum of g over t in {1, 2, ...} is then
 either attained at some finite t, or approached at infinity with value 0. The
 functions here locate a witness t0 with g(t0) > 0 when one exists, bound the
 horizon n0 beyond which |g| stays under g(t0), and reduce the search to a
-finite scan. Angles are kept in degrees throughout this module's public types.
+finite scan. `rce_infinite` skips the expansion: once |M^k|_inf < 1, |g(t')| for
+t' > t is at most tail * |M^t x0|_inf, tail = max_{r<=k} |(M^T)^r c|_1, so it scans
+g until that falls to max(best, positive_floor * max(1, tail * |x0|_inf)). Angles
+are kept in degrees throughout this module's public types.
 """
 from __future__ import annotations
 
@@ -344,26 +347,46 @@ def find_n0(s: OscillatorySum, g_t0: float) -> int:
     return max(n0, 1)
 
 
+_BLOCK = 4096                 # most cost rows tabulated, and so most points per scan block
+
+
 def rce_infinite(m, c, x, tols: Tolerances = DEFAULT_TOLS) -> RceInfResult:
-    """Supremum of <c, M^t x> over all positive integer stopping times."""
-    s = decompose(m, c, x, tols)
-    if s.is_empty:
-        return RceInfResult("supremum-at-infinity", None, 0.0)
-    cut = find_t0(s, tols)
-    if cut.t0 is None:
-        return RceInfResult("supremum-at-infinity", None, 0.0)
-    n0 = cut.n0 if cut.n0 is not None else find_n0(s, eval_g(s, cut.t0))
-    best_t, best_val = cut.t0, -math.inf
-    t = 1
-    while t <= n0:
-        hi = min(n0, t + 65535)
-        ts = np.arange(t, hi + 1, dtype=np.int64)
-        vals = _eval_array(s, ts)
+    """Supremum of <c, M^t x> over all positive integer stopping times.
+
+    M is squared to the least k = 2^j with |M^k|_inf < 1, certifying rho(M) < 1.
+    As |M^(qk)|_inf <= 1, |g(t')| <= tail * |M^t x|_inf for t' > t, with tail =
+    max_{r<=k} |(M^T)^r c|_1. g is scanned in blocks, tabulated rows c^T M^r times
+    M^t x, until that bound is at most max(best, positive_floor * max(1, tail *
+    |x|_inf)); with no g(t) above that floor the result is "supremum-at-infinity".
+    """
+    a, cv, xv = as_matrix(m), as_vector(c), as_vector(x)
+    if a.shape[0] != a.shape[1] or cv.shape[0] != a.shape[0] or xv.shape[0] != a.shape[0]:
+        raise ValueError("dimension mismatch between matrix, cost, and state")
+    power, k = a, 1                          # power = M^k
+    rows, jump = (cv @ a)[None, :], a        # rows[r - 1] = c^T M^r; jump = M^len(rows)
+    while (norm := float(np.abs(power).sum(axis=1).max())) >= 1.0:
+        if k >= 2 ** 24 or norm > 1e150:     # give up, or the next square could overflow
+            raise ValueError(f"spectral radius must be strictly below 1 (|M^k|_inf >= 1, k <= {k})")
+        power, k = power @ power, 2 * k
+        if k <= _BLOCK:
+            rows, jump = np.vstack([rows, rows @ jump]), power
+    tail, chunk = float(np.abs(rows).sum(axis=1).max()), rows
+    for _ in range(k // rows.shape[0] - 1):  # rows past the table enter only the tail
+        chunk = chunk @ jump
+        tail = max(tail, float(np.abs(chunk).sum(axis=1).max()))
+    while norm > 0.5 and rows.shape[0] < _BLOCK:    # until a block at least halves |v|_inf
+        rows, jump, norm = np.vstack([rows, rows @ jump]), jump @ jump, norm * norm
+    floor = tols.positive_floor * max(1.0, tail * float(np.abs(xv).max()))
+    best_t, best_val, t, v = None, -math.inf, 0, xv
+    while tail * float(np.abs(v).max()) > max(best_val, floor):
+        vals = rows @ v                      # g(t + 1), ..., g(t + len(rows))
         i = int(np.argmax(vals))
         if vals[i] > best_val:
-            best_t, best_val = int(ts[i]), float(vals[i])
-        t = hi + 1
-    return RceInfResult("attained", best_t, best_val)
+            best_t, best_val = t + i + 1, float(vals[i])
+        v, t = jump @ v, t + rows.shape[0]
+    if best_val > floor:
+        return RceInfResult("attained", best_t, best_val)
+    return RceInfResult("supremum-at-infinity", None, 0.0)
 
 
 def rce_infinite_2d(d: float, kappa: float, r: float, theta: float,
@@ -411,8 +434,8 @@ def rce_infinite_2d(d: float, kappa: float, r: float, theta: float,
     return RceInfResult("attained", int(ts[best]), float(vals[best]))
 
 
-def geometric_drce(s: OscillatorySum, rho_hat: float, xi: float, eps: float,
-                   tols: Tolerances = DEFAULT_TOLS) -> tuple[float, float, float]:
+def geometric_drce(s: OscillatorySum, rho_hat: float, xi: float,
+                   eps: float) -> tuple[float, float, float]:
     """Worst geometric stopping law within Wasserstein radius xi of Geom(rho_hat).
 
     The Wasserstein-1 distance between geometric laws is |1/rho - 1/rho_hat|,
@@ -437,13 +460,7 @@ def geometric_drce(s: OscillatorySum, rho_hat: float, xi: float, eps: float,
     if hi < lo:
         raise ValueError("empty feasible interval")
 
-    total = s.amplitude_total
-    zeta = s.top_magnitude
-    if total <= 0.0 or zeta <= 0.0:
-        n0 = 1
-    else:
-        n0 = max(1, math.ceil(math.log(min(eps / total, 1.0)) / math.log(zeta)) + 1)
-
+    n0 = find_n0(s, eps)
     ts = np.arange(1, n0 + 1, dtype=np.int64)
     g_vals = _eval_array(s, ts)
     tf = ts.astype(float)

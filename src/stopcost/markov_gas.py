@@ -127,7 +127,7 @@ def build_ab(n: int) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def to_gas(chain: MarkovChain, tols: Tolerances = DEFAULT_TOLS) -> GasSystem:
+def to_gas(chain: MarkovChain) -> GasSystem:
     """Reduce a chain to its stable centered form m_bar = A M B."""
     a, b = build_ab(chain.n)
     m_bar = a @ chain.transition @ b

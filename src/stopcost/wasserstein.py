@@ -123,18 +123,10 @@ def w_norm(mu, distance: GroundDistance = GroundDistance.line(),
     if distance.kind == "line":
         return float(np.abs(np.cumsum(v)[:-1]).sum())
     d = distance.materialize(t)
-    rows = []
-    rhs = []
-    for i in range(t):
-        for j in range(t):
-            if i != j:
-                r = np.zeros(t)
-                r[i], r[j] = 1.0, -1.0
-                rows.append(r)
-                rhs.append(d[i, j])
+    i, j = np.nonzero(~np.eye(t, dtype=bool))       # u_i - u_j <= d_ij, pairs in row-major order
     lp = LinearProgram.maximize(
         v,
-        ineq=(np.array(rows), np.array(rhs)),
+        ineq=(np.eye(t)[i] - np.eye(t)[j], d[i, j]),
         eq=(np.ones((1, t)), np.zeros(1)),
         nonneg=False,
     )

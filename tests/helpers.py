@@ -1,5 +1,6 @@
 """Shared generators for randomized tests and independent reference oracles."""
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy import sparse
@@ -226,3 +227,19 @@ def geometric_drce_oracle(s, rho_hat, xi, eps, fixed_steps=None):
         if better(rho, val, best_rho, best_val):
             best_rho, best_val = rho, val
     return best_rho, best_val, float(eps * (1.0 - best_rho) ** n0)
+
+
+def exact_cost_values(a, q, c, x, horizon):
+    """g(t) = <c, M^t x> for t = 1..horizon as exact Fractions, where M = a / q.
+
+    a is a square matrix of Python ints and q a positive int; c and x hold ints
+    or Fractions. The recurrence w_t = a w_{t-1} runs in integer (or Fraction)
+    arithmetic with no rounding, and g(t) = <c, w_t> / q^t.
+    """
+    n = len(a)
+    w = [Fraction(v) for v in x]
+    values = []
+    for t in range(1, horizon + 1):
+        w = [sum(a[i][j] * w[j] for j in range(n)) for i in range(n)]
+        values.append(sum(Fraction(ci) * wi for ci, wi in zip(c, w)) / q ** t)
+    return values

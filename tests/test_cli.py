@@ -11,7 +11,8 @@ import pytest
 import stopcost
 from stopcost.cli import main
 from stopcost.finite_horizon import CostSequence, cost_sequence_naive
-from stopcost.scenarios import ComparisonReport
+from stopcost.scenarios import ComparisonReport, CsocParams, HealthParams, build_csoc_overtime, \
+    build_health_chain
 from stopcost.wasserstein import AmbiguitySet, drce_finite
 
 from helpers import lazy_cycle
@@ -230,6 +231,39 @@ def test_drce_geom_rejects_nonfinite_radius_and_eps(tmp_path, capsys):
         assert code == 2 and out == "" and name in err, (radius, eps, err)
 
 
+PACKAGED_MODELS = {
+    "csoc-cap10": lambda: build_csoc_overtime(CsocParams(queue_cap=10)),
+    "csoc-cap100": lambda: build_csoc_overtime(CsocParams(queue_cap=100)),
+    "sir-pop5": lambda: build_health_chain(HealthParams(model="sir", population=5)),
+    "svir-pop3": lambda: build_health_chain(HealthParams(model="svir", population=3)),
+}
+
+
+@pytest.mark.parametrize("label", sorted(PACKAGED_MODELS))
+def test_rce_inf_answers_packaged_models(label, tmp_path, capsys):
+    m, x0, c = PACKAGED_MODELS[label]()
+    model = write_json(tmp_path / "model.json", {"kind": "markov", "n": m.shape[0],
+                                                  "matrix": m.ravel().tolist(),
+                                                  "cost": c.tolist(), "x0": x0.tolist()})
+    code, out, err = run_cli(capsys, "rce-inf", "--model", model)
+    assert code == 0, err
+    header, row, _ = out.split("\n")
+    assert header == "kind,t_star,value"
+    kind, t_star, value = row.split(",")
+    direct, state = np.empty(5000), x0.copy()
+    for t in range(direct.size):
+        state = m @ state
+        direct[t] = c @ state
+    scale = max(1.0, float(np.abs(direct).max()))
+    if kind == "attained":
+        assert int(t_star) == int(np.argmax(direct)) + 1
+        assert float(value) == pytest.approx(direct.max(), abs=1e-9 * scale)
+    else:
+        assert kind == "supremum-at-infinity" and t_star == ""
+        assert direct.max() <= float(value) + 1e-9 * scale
+        assert float(value) == pytest.approx(direct[-1], abs=1e-9 * scale)
+
+
 # ----------------------------------------------------- scenarios and bench ---
 
 def test_scenario_sir_output(tmp_path, capsys):
@@ -294,7 +328,7 @@ def test_drce_and_scenario_do_not_import_the_lp_solver(tmp_path):
     src = str(Path(stopcost.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run([sys.executable, "-c", script], env=env,
+    proc = subprocess.run([sys.executable, "-W", "error", "-c", script], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert ",lp\n" in proc.stdout       # drce took the dual (ball meets boundary) path

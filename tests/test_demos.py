@@ -17,7 +17,7 @@ def test_all_demos_are_found():
 def run_demo(demo):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    proc = subprocess.run([sys.executable, str(demo)], env=env, cwd=ROOT,
+    proc = subprocess.run([sys.executable, "-W", "error", str(demo)], env=env, cwd=ROOT,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout

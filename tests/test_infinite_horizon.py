@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
+import stopcost.infinite_horizon as infinite_horizon
+import stopcost.matrix_core as matrix_core
 from stopcost.infinite_horizon import (
     ComplexTerm,
     OscillatorySum,
@@ -18,11 +21,13 @@ from stopcost.infinite_horizon import (
     geometric_drce,
     rce_infinite,
     rce_infinite_2d,
+    RceInfResult,
 )
 from stopcost.markov_gas import MarkovChain, project_state, to_gas, transfer_cost
 from stopcost.matrix_core import mat_pow
 
-from helpers import geometric_drce_oracle, lazy_cycle, oscillatory_values, random_stable
+from helpers import (exact_cost_values, geometric_drce_oracle, lazy_cycle, oscillatory_values,
+                     random_stable)
 
 DIAG = np.diag([0.9, -0.5])
 ONES = np.array([1.0, 1.0])
@@ -314,6 +319,135 @@ def test_rce_infinite_matches_brute_force():
         else:
             assert direct.max() <= 1e-9 * scale
     assert attained >= 20
+
+
+def assert_matches_exact(a, q, c, x, horizon=400):
+    """rce_infinite against the exact Fraction recurrence on M = a / q (rho <= 3/4 here).
+
+    t_star must be the exact maximiser or, where several times come within
+    1e-12 of the maximum (exact ties included), any of them: rounding may
+    pick either.
+    """
+    exact = exact_cost_values(a, q, c, x, horizon)
+    scale = max(1.0, max(abs(float(g)) for g in exact))
+    assert max(abs(float(g)) for g in exact[-100:]) <= 1e-20 * scale     # decayed long before
+    top = max(exact)
+    res = rce_infinite(np.array(a, dtype=float) / q, [float(v) for v in c], [float(v) for v in x])
+    if top <= 0:
+        assert (res.kind, res.t_star, res.value) == ("supremum-at-infinity", None, 0.0)
+        return res
+    assert res.kind == "attained" and float(top) > 1e-9 * scale
+    near = [t for t, g in enumerate(exact, 1) if float(top - g) <= 1e-12 * scale]
+    assert res.t_star in near
+    assert res.value == pytest.approx(float(top), rel=1e-13, abs=1e-15 * scale)
+    return res
+
+
+def test_rce_infinite_matches_exact_recurrence_on_defective_systems():
+    # g(t) = t 2^(1-t): exactly 1 at t = 1 and t = 2, so the earliest, t = 1, wins
+    res = assert_matches_exact([[1, 2], [0, 1]], 2, [1, 0], [0, 1])
+    assert (res.kind, res.t_star, res.value) == ("attained", 1, 1.0)
+    # g(t) = C(t, 2) 2^(2-t): 1.5 at t = 3 and t = 4
+    jordan3 = [[1, 2, 0], [0, 1, 2], [0, 0, 1]]
+    res = assert_matches_exact(jordan3, 2, [1, 0, 0], [0, 0, 1])
+    assert (res.t_star, res.value) == (3, 1.5)
+    res = assert_matches_exact([[-1, 2], [0, -1]], 2, [1, 0], [0, 1])      # t (-1/2)^(t-1)
+    assert (res.t_star, res.value) == (1, 1.0)
+    res = assert_matches_exact([[1, 0], [0, 1]], 2, [1, -1], [1, 1])        # g == 0
+    assert res.kind == "supremum-at-infinity"
+    res = assert_matches_exact([[3, 1], [0, 3]], 4, [-1, 0], [1, 1])        # g < 0 throughout
+    assert res.kind == "supremum-at-infinity"
+    assert_matches_exact([[0, -1], [1, 0]], 2, [1, 0], [1, 0])              # rotation, |lambda| tie
+    assert_matches_exact([[1, 0, 0], [0, -1, 0], [0, 0, 1]], 2, [1, 1, -1], [1, 1, 1])
+
+
+def test_rce_infinite_matches_exact_recurrence_on_random_rational_systems():
+    rng = np.random.default_rng(367)
+    attained = 0
+    for _ in range(40):
+        n = int(rng.integers(1, 5))
+        a = rng.integers(-3, 4, size=(n, n))
+        if rng.random() < 0.5:                # repeated eigenvalues, possibly defective
+            a = np.triu(a, 1) + int(rng.integers(-2, 3)) * np.eye(n, dtype=np.int64)
+        radius = float(np.abs(np.linalg.eigvals(a)).max())
+        q = max(1, math.ceil(radius / rng.uniform(0.3, 0.75)))
+        c = [int(v) for v in rng.integers(-3, 4, size=n)]
+        x = [int(v) for v in rng.integers(-3, 4, size=n)]
+        res = assert_matches_exact(a.astype(int).tolist(), q, c, x)
+        attained += res.kind == "attained"
+    assert attained >= 15
+
+
+def test_rce_infinite_rejects_spectral_radius_at_least_one():
+    for m in (np.eye(3), np.array([[1.01]]), np.array([[-1.0, 1.0], [0.0, 0.5]])):
+        n = m.shape[0]
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            with pytest.raises(ValueError, match="spectral radius must be strictly below 1"):
+                rce_infinite(m, np.ones(n), np.ones(n))
+
+
+def test_rce_infinite_agrees_with_the_cutoff_theorems():
+    """The paper's witness t0 is never above the supremum, and t* lies within n0."""
+    rng = np.random.default_rng(373)
+    attained = 0
+    for _ in range(60):
+        n = int(rng.integers(1, 7))
+        m = random_stable(rng, n)
+        c, x = rng.standard_normal(n), rng.standard_normal(n)
+        s = decompose(m, c, x)
+        res = rce_infinite(m, c, x)
+        cut = find_t0(s) if not s.is_empty else None
+        if cut is None or cut.t0 is None:
+            assert res.kind == "supremum-at-infinity"
+            continue
+        g_t0 = eval_g(s, cut.t0)
+        assert res.kind == "attained"
+        assert g_t0 <= res.value + 1e-9 * max(1.0, abs(res.value))
+        assert res.t_star <= (cut.n0 if cut.n0 is not None else find_n0(s, g_t0))
+        attained += 1
+    assert attained >= 20
+
+
+def test_rce_infinite_needs_no_eigen_decomposition(monkeypatch):
+    m, c, x0 = lazy_cycle(np.random.default_rng(37), 32)
+    gas = to_gas(MarkovChain.from_transition(m))
+    cost, _ = transfer_cost(gas, c)
+    cases = [(DIAG, ONES, ONES), (ROT90, E1, E1), (np.array([[0.5, 1.0], [0.0, 0.5]]), E1, [0.0, 1.0]),
+             (np.array([[0.9]]), [-1.0], [1.0]), (gas.m_bar, cost, project_state(gas, x0))]
+    expected = [rce_infinite(*case) for case in cases]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("rce_infinite reached an eigen-decomposition")
+
+    for name in ("decompose", "real_jordan", "spectral_radius", "find_t0", "find_n0"):
+        monkeypatch.setattr(infinite_horizon, name, forbidden)
+    for name in ("real_jordan", "spectral_radius"):
+        monkeypatch.setattr(matrix_core, name, forbidden)
+    for name in ("eig", "eigvals"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    assert [rce_infinite(*case) for case in cases] == expected
+    assert expected[2] == RceInfResult("attained", 1, 1.0)
+
+
+def test_rce_infinite_beyond_the_row_table():
+    """|M^k|_inf < 1 first at k > 4,096: the rows past the table enter only the tail."""
+    rng = np.random.default_rng(379)
+    rho = 0.99999
+    m = block_diag(*(rho * np.array([[math.cos(theta), -math.sin(theta)],
+                                     [math.sin(theta), math.cos(theta)]])
+                     for theta in rng.uniform(0.2, 1.3, 10)))
+    assert np.abs(np.linalg.matrix_power(m, 4096)).sum(axis=1).max() >= 1.0
+    x = rng.standard_normal(20)
+    res = rce_infinite(m, x, x)
+    # M^t = rho^t times a rotation, so |g(t)| <= rho^t |x|_2^2: scan until that bound
+    best_t, best, state, t = None, -math.inf, x.copy(), 0
+    while rho ** t * float(x @ x) > best:
+        t += 1
+        state = m @ state
+        if x @ state > best:
+            best_t, best = t, float(x @ state)
+    assert (res.kind, res.t_star) == ("attained", best_t)
+    assert res.value == pytest.approx(best, rel=1e-12)
 
 
 # --------------------------------------------------------- planar closed form ---

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.sparse.csgraph import shortest_path
 
+import stopcost.wasserstein as wasserstein
 from stopcost.finite_horizon import CostSequence, cost_sequence_naive
 from stopcost.wasserstein import (
     AmbiguitySet,
@@ -82,6 +83,33 @@ def test_explicit_line_metric_matches_cdf_oracle():
         assert w_norm(mu, line) == pytest.approx(cdf_norm(mu), abs=1e-9)
         p, q = random_distribution(rng, t), random_distribution(rng, t)
         assert w1_distance(p, q, line) == pytest.approx(cdf_norm(p - q), abs=1e-9)
+
+
+def test_explicit_w_norm_lp_rows_match_pairwise_loop(monkeypatch):
+    """The constraint rows u_i - u_j <= d_ij, built pair by pair as a reference."""
+    captured = []
+
+    def spy(lp, tols):
+        captured.append(lp)
+        return solve(lp, tols)
+
+    solve = wasserstein.lp_solve
+    monkeypatch.setattr(wasserstein, "lp_solve", spy)
+    rng = np.random.default_rng(213)
+    for t in (2, 3, 7):
+        pts = rng.random((t, 2))
+        d = np.linalg.norm(pts[:, None] - pts[None, :], axis=2)
+        w_norm(balanced(rng, t), GroundDistance.explicit(d))
+        rows, rhs = [], []
+        for i in range(t):
+            for j in range(t):
+                if i != j:
+                    r = np.zeros(t)
+                    r[i], r[j] = 1.0, -1.0
+                    rows.append(r)
+                    rhs.append(d[i, j])
+        assert np.array_equal(captured[-1].ineq_lhs, np.array(rows))
+        assert np.array_equal(captured[-1].ineq_rhs, np.array(rhs))
 
 
 def test_w1_between_point_masses():
