@@ -9,7 +9,8 @@ end-of-shift backlog has mean ~19.8, sd ~13.7 and P(empty) ~0.024.
 
 The epidemic study prices expected infections in a small population under
 SIR and SVIR person-level chains, where the joint chain is the Kronecker
-power of one person's chain. Both studies compare a plug-in cost estimate
+power of one person's chain; it runs on the one-person chain and never builds
+the joint one. Both studies compare a plug-in cost estimate
 against robust ones and validate them with Monte Carlo rollouts.
 
     $ python3 demos/queue_overtime.py --seeds 5 --samples 200
@@ -22,8 +23,8 @@ from stopcost import (
     CsocParams,
     HealthParams,
     build_csoc_overtime,
-    build_health_chain,
     compare_report,
+    health_person,
     mat_pow,
     sample_horizons,
 )
@@ -54,13 +55,16 @@ def epidemic_study(samples, seed):
     print("\nexpected infections in a population of 5 at t = 8 steps:")
     for model in ("sir", "svir"):
         params = HealthParams(model=model, population=5)
-        matrix, x0, cost = build_health_chain(params)
-        deterministic = float(cost @ (mat_pow(matrix, 8) @ x0))
+        person, init, cost = health_person(params)
+        # persons are independent and identical, so expected costs add up
+        deterministic = params.population * float(cost @ (mat_pow(person, 8) @ init))
         horizons = sample_horizons(params.horizon_min, params.horizon_max,
                                    params.horizon_mean, samples, seed)
-        rep = compare_report(matrix, x0, cost, horizons, 0.25, seed,
+        rep = compare_report(person, init, cost, horizons, 0.25, seed,
+                             population=params.population,
                              support_max=params.horizon_max)
-        print(f"  {model:<5} chain of {matrix.shape[0]} joint states: "
+        joint_states = person.shape[0] ** params.population
+        print(f"  {model:<5} chain of {joint_states} joint states: "
               f"cost at t=8 {deterministic:.4f}, plug-in {rep.empirical_cost:.4f}, "
               f"robust(0.25) {rep.drce_cost:.4f}")
         print(f"        rollouts exceeding plug-in {rep.pct_exceed_empirical:.0f}%, "

@@ -30,7 +30,7 @@ from .infinite_horizon import decompose, geometric_drce, rce_infinite
 from .markov_gas import MarkovChain, project_state, to_gas, transfer_cost
 from .matrix_core import mat_pow
 from .scenarios import CsocParams, HealthParams, build_csoc_overtime, \
-    build_health_chain, compare_report, sample_horizons
+    compare_report, health_person, sample_horizons
 from .wasserstein import AmbiguitySet, drce_finite
 
 
@@ -202,10 +202,11 @@ def cmd_scenario(args) -> str:
                                 support_max=params.overtime_max)
     else:
         params = HealthParams(model=args.name)
-        matrix, x0, cost = build_health_chain(params)
+        person, init, cost = health_person(params)
         samples = sample_horizons(params.horizon_min, params.horizon_max,
                                   params.horizon_mean, args.samples, args.seed)
-        report = compare_report(matrix, x0, cost, samples, args.xi, args.seed,
+        report = compare_report(person, init, cost, samples, args.xi, args.seed,
+                                population=params.population,
                                 support_max=params.horizon_max)
     return report.CSV_HEADER + "\n" + report.csv_row() + "\n"
 

@@ -4,8 +4,11 @@ Two families of examples exercise the estimation pipeline end to end. The
 first is a security-operations alert queue: a birth-death chain runs for one
 shift to set the end-of-shift backlog, then an overtime chain (arrivals shut
 off, the empty state absorbing) drains it while cost grows with queue length.
-The second builds SIR/SVIR per-person chains and their population-level joint
-chain as a Kronecker power, costing each state by its infected count.
+The second builds SIR/SVIR per-person chains, costing each person 1 while
+infected. A population of N independent, identical persons is the N-fold
+Kronecker power of that chain, with k^N joint states; `build_health_chain`
+materializes it, but `compare_report(..., population=N)` works on the k x k
+per-person chain alone.
 
 `compare_report` ties these to the estimators: given stopping-time samples it
 compares the plug-in cost at the rounded mean against the distributionally
@@ -13,6 +16,19 @@ robust value, and uses Monte Carlo rollouts to estimate how often either one
 is exceeded in realization. The rollouts of all samples step together as
 arrays; each sample's seeded substream is drawn in one call beforehand, so the
 realized costs are bit-identical to drawing and stepping one sample at a time.
+
+A population rollout still takes one uniform per joint step and decodes it
+person by person, in the Kronecker order (person 0 the most significant
+digit): the person's next state j is found on the per-person cumulative
+column F, and the uniform is rescaled to (u - F(j-1)) / (F(j) - F(j-1)) for
+the next person. This picks the same joint state as the dense cumulative
+column of the Kronecker chain, except for a draw that falls within the
+accumulated rounding of a block boundary (about k^N ulps). The decode is
+limited by the 53 bits of that one uniform, as the dense table is: each
+person's rescale spends -log2 of the probability of the step it took, about
+one bit on average for the SIR/SVIR chains, so beyond a few dozen persons the
+later ones are no longer resolved by the draw. Populations in the hundreds
+would need a draw per person, which would change every rollout.
 """
 from __future__ import annotations
 
@@ -204,14 +220,28 @@ def person_chain(model: str) -> tuple[np.ndarray, np.ndarray, int]:
     raise ValueError(f"unknown model {model!r}; expected 'sir' or 'svir'")
 
 
-def build_health_chain(p: HealthParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Joint population chain: returns (M, x0, c) with M the Kronecker power
-    of the per-person chain and c(state) = number of infected persons."""
+def health_person(p: HealthParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One person's chain: returns (M, x0, c) with x0 = p.init (or the
+    model's default) and c the infected-state indicator."""
     person, init, i_idx = person_chain(p.model)
     if p.init is not None:
         init = np.asarray(p.init, dtype=float)
         if init.shape[0] != person.shape[0]:
             raise ValueError(f"init must have {person.shape[0]} entries for {p.model}")
+    c = np.zeros(person.shape[0])
+    c[i_idx] = 1.0
+    return person, init, c
+
+
+def build_health_chain(p: HealthParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Joint population chain: returns (M, x0, c) with M the Kronecker power
+    of the per-person chain and c(state) = number of infected persons.
+
+    The matrix has k^N x k^N dense entries (2 GiB for svir at N = 7);
+    `compare_report(*health_person(p), ..., population=N)` gives the same
+    report without building it.
+    """
+    person, init, c_person = health_person(p)
     m = person
     x0 = init
     for _ in range(p.population - 1):
@@ -222,7 +252,7 @@ def build_health_chain(p: HealthParams) -> tuple[np.ndarray, np.ndarray, np.ndar
     c = np.zeros(total)
     rem = np.arange(total)
     for _ in range(p.population):
-        c += (rem % n_states == i_idx)
+        c += c_person[rem % n_states]
         rem //= n_states
     return m, x0, c
 
@@ -234,7 +264,9 @@ def sample_horizons(lo: int, hi: int, mean: int, k: int, seed: int) -> list[int]
     if not (1 <= lo <= mean <= hi):
         raise ValueError("need 1 <= lo <= mean <= hi")
     if k < 1:
-        raise ValueError("k must be >= 1")
+        raise ValueError(f"samples must be >= 1, got {k}")
+    if int(seed) < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     ts = np.arange(lo, hi + 1)
     weights = np.where(
         ts <= mean,
@@ -253,24 +285,25 @@ _ROLLOUT_BLOCK_DRAWS = 1 << 17
 
 
 def _next_states(cum_flat: np.ndarray, n: int, state: np.ndarray,
-                 u: np.ndarray) -> np.ndarray:
+                 u: np.ndarray, stride: int | None = None) -> np.ndarray:
     """Vectorized `min(searchsorted(cum[:, s], u, side="right"), n - 1)`.
 
-    cum_flat is the C-ordered n x n array of cumulative columns. Bisection
-    over the rows of each walker's column finds the count of entries <= u
-    (a column is nondecreasing, so those entries form a prefix); `off` is the
-    flat index of row `count` in that column. A probe past the last row is
-    clamped to it, which can only overshoot when every entry is <= u, and the
-    final clamp to n - 1 absorbs that.
+    cum_flat is the C-ordered n x stride array of cumulative columns (stride
+    n unless given). Bisection over the rows of each walker's column finds
+    the count of entries <= u (a column is nondecreasing, so those entries
+    form a prefix); `off` is the flat index of row `count` in that column. A
+    probe past the last row is clamped to it, which can only overshoot when
+    every entry is <= u, and the final clamp to n - 1 absorbs that.
     """
+    stride = n if stride is None else stride
     off = state
-    last = state + (n - 1) * n
+    last = state + (n - 1) * stride
     step = 1 << (n.bit_length() - 1)
     while step:
-        probe = np.minimum(off + (step - 1) * n, last)
-        off = np.where(cum_flat[probe] <= u, probe + n, off)
+        probe = np.minimum(off + (step - 1) * stride, last)
+        off = np.where(cum_flat[probe] <= u, probe + stride, off)
         step >>= 1
-    return np.minimum(off // n, n - 1)
+    return np.minimum(off // stride, n - 1)
 
 
 def _cumulative_columns(a: np.ndarray) -> np.ndarray:
@@ -285,8 +318,30 @@ def _cumulative_columns(a: np.ndarray) -> np.ndarray:
     return cum
 
 
+def _decode(cum_flat: np.ndarray, n: int, stride: int, state: np.ndarray,
+            u: np.ndarray) -> None:
+    """Step every person for one draw per walker, in place: row d of `state`
+    is person d's state, the column it reads of the n x stride table.
+
+    Person 0 is the most significant digit, as in np.kron. Each person takes
+    the state j its own column selects for the draw, and the draw is then
+    rescaled to (u - F(j-1)) / (F(j) - F(j-1)) for the next person, or to 1
+    where that block is empty (the draw was clamped into a zero-probability
+    state), so the later persons clamp too.
+    """
+    for d in range(state.shape[0]):
+        j = _next_states(cum_flat, n, state[d], u, stride)
+        if d + 1 < state.shape[0]:
+            at = j * stride + state[d]
+            lo = np.where(j > 0, cum_flat[at - stride], 0.0)
+            width = cum_flat[at] - lo
+            u = np.divide(u - lo, width, out=np.ones_like(u), where=width > 0)
+        state[d] = j
+
+
 def _rollout_costs(cum_cols: np.ndarray, cum_x0: np.ndarray, c: np.ndarray,
-                   samples: list[int], copies: int, seed: int) -> np.ndarray:
+                   samples: list[int], copies: int, seed: int,
+                   digits: int = 1) -> np.ndarray:
     """Realized cost at each sampled stopping time, summed over the copies.
 
     Sample i draws from its own substream, spawn key (i,) under the seed:
@@ -295,6 +350,12 @@ def _rollout_costs(cum_cols: np.ndarray, cum_x0: np.ndarray, c: np.ndarray,
     one call and all walkers of a block step together, longest first so the
     walkers still moving form a prefix; the states, and hence the costs, are
     bit-identical to drawing and stepping one copy at a time.
+
+    With digits = N > 1 the tables describe one person and a walker is N
+    persons, its cost the sum of theirs. Each draw is decoded digit by digit
+    (`_decode`) into the joint state the dense Kronecker table would pick,
+    barring draws within about k^N ulps of a block boundary; the 53 bits of
+    that draw bound N (see the module docstring).
     """
     n = c.shape[0]
     cum_flat = cum_cols.ravel()
@@ -312,15 +373,16 @@ def _rollout_costs(cum_cols: np.ndarray, cum_x0: np.ndarray, c: np.ndarray,
             stream = np.random.Generator(
                 np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(i,))))
             stream.random(out=u[first:first + width])
-        # walker a * copies + r is copy r of sample ids[a]
+        # walker a * copies + r is copy r of sample ids[a]; state[d] is person d
         base = (starts[:, None] + np.arange(copies) * (t + 1)[:, None]).ravel()
-        state = np.minimum(np.searchsorted(cum_x0, u[base], side="right"), n - 1)
+        state = np.zeros((digits, base.size), dtype=np.intp)
+        _decode(cum_x0, n, 1, state, u[base])      # x0's law as a one-column table
         # moving[j - 1] counts the walkers with t >= j, a prefix as t descends
         moving = np.searchsorted(-np.repeat(t, copies), -np.arange(1, t[0] + 1),
                                  side="right")
         for step, k in enumerate(moving.tolist(), start=1):
-            state[:k] = _next_states(cum_flat, n, state[:k], u[base[:k] + step])
-        walker_cost = c[state].reshape(-1, copies)
+            _decode(cum_flat, n, n, state[:, :k], u[base[:k] + step])
+        walker_cost = c[state].sum(axis=0).reshape(-1, copies)
         total = np.zeros(ids.size)
         for r in range(copies):     # in copy order, so rounding matches a running sum
             total += walker_cost[:, r]
@@ -329,7 +391,8 @@ def _rollout_costs(cum_cols: np.ndarray, cum_x0: np.ndarray, c: np.ndarray,
 
 
 def compare_report(m, x0, c, samples, xi: float, seed: int, *,
-                   copies: int = 1, support_max: int | None = None,
+                   copies: int = 1, population: int = 1,
+                   support_max: int | None = None,
                    tols: Tolerances = DEFAULT_TOLS) -> ComparisonReport:
     """Plug-in versus robust cost on sampled stopping times.
 
@@ -342,6 +405,14 @@ def compare_report(m, x0, c, samples, xi: float, seed: int, *,
     exceeds each estimate. The rollouts run batched over blocks of samples,
     with each sample's substream pre-drawn; the percentages are bit-identical
     to sequential per-sample draws.
+
+    With population = N > 1, (m, x0, c) describe one person and each replica
+    is N independent, identical persons, costing the sum of their costs. The
+    k^N-state Kronecker chain is never built: the expected cost is N times one
+    person's, and each rollout step decodes its one uniform digit by digit
+    into the persons' states. The report equals the dense chain's unless a
+    draw lies within about k^N ulps of a block boundary, and the 53 bits of
+    that draw limit N to a few dozen (see the module docstring).
     """
     a = as_matrix(m)
     x = as_vector(x0)
@@ -360,6 +431,10 @@ def compare_report(m, x0, c, samples, xi: float, seed: int, *,
         raise ValueError("stopping times must be >= 1")
     if copies < 1:
         raise ValueError("copies must be >= 1")
+    if population < 1:
+        raise ValueError("population must be >= 1")
+    if int(seed) < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
 
     k = len(samples)
     t_hat = int(round(sum(samples) / k))
@@ -369,14 +444,14 @@ def compare_report(m, x0, c, samples, xi: float, seed: int, *,
 
     counts = np.bincount(np.asarray(samples), minlength=horizon + 1)
     p_hat = counts[1:horizon + 1] / k
-    g = cost_sequence_strided(a, x, cv, horizon).values * copies
+    g = cost_sequence_strided(a, x, cv, horizon).values * (copies * population)
     empirical = float(g[t_hat - 1])
     robust = drce_finite(CostSequence(horizon, g),
                          AmbiguitySet(p_hat, float(xi)), tols).value
 
     cum_cols = _cumulative_columns(a)
     cum_x0 = np.cumsum(np.clip(x, 0.0, None))
-    costs = _rollout_costs(cum_cols, cum_x0, cv, samples, copies, seed)
+    costs = _rollout_costs(cum_cols, cum_x0, cv, samples, copies, seed, population)
     pct_emp = 100.0 * float(np.mean(costs > empirical))
     pct_rob = 100.0 * float(np.mean(costs > robust))
     return ComparisonReport(empirical, robust, pct_emp, pct_rob,

@@ -306,6 +306,25 @@ def test_scenario_rows_are_pinned(name, capsys):
     assert out == ComparisonReport.CSV_HEADER + "\n" + SCENARIO_GOLDEN_ROWS[name] + "\n"
 
 
+def test_scenario_svir_builds_no_joint_chain(monkeypatch, capsys):
+    def refuse(*_, **__):
+        raise AssertionError("dense joint chain built")
+    monkeypatch.setattr(stopcost.scenarios, "build_health_chain", refuse)
+    monkeypatch.setattr(np, "kron", refuse)
+    code, out, err = run_cli(capsys, "scenario", "svir",
+                             "--samples", "500", "--xi", "4", "--seed", "1")
+    assert code == 0, err
+    assert out == ComparisonReport.CSV_HEADER + "\n" + SCENARIO_GOLDEN_ROWS["svir"] + "\n"
+
+
+@pytest.mark.parametrize("name", ["csoc", "sir"])
+@pytest.mark.parametrize("option,value", [("--samples", "0"), ("--seed", "-1")])
+def test_scenario_errors_name_the_option(name, option, value, capsys):
+    code, out, err = run_cli(capsys, "scenario", name, option, value)
+    assert code == 2 and out == ""
+    assert option.lstrip("-") in err, err
+
+
 def test_drce_and_scenario_do_not_import_the_lp_solver(tmp_path):
     # scipy.optimize takes about half as long to import as the package itself
     model = write_json(tmp_path / "scalar.json", SCALAR_GAS)

@@ -1,9 +1,11 @@
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from stopcost import scenarios
+from stopcost.finite_horizon import cost_sequence_naive, cost_sequence_strided
 from stopcost.matrix_core import mat_pow
 from stopcost.scenarios import (
     ComparisonReport,
@@ -12,6 +14,7 @@ from stopcost.scenarios import (
     build_csoc_overtime,
     build_health_chain,
     compare_report,
+    health_person,
     person_chain,
     sample_horizons,
 )
@@ -144,6 +147,18 @@ def test_expected_infections_match_single_person_chain():
             assert joint == pytest.approx(4.0 * single, abs=1e-9)
 
 
+def test_health_person_is_one_factor_of_the_joint_chain():
+    for model, init in (("sir", None), ("svir", (0.25, 0.25, 0.25, 0.25))):
+        p = HealthParams(model=model, population=1, init=init)
+        person, x0, c = health_person(p)
+        m1, x1, c1 = build_health_chain(p)
+        assert np.array_equal(person, m1) and np.array_equal(x0, x1)
+        assert np.array_equal(c, c1)
+        assert c.sum() == 1.0 and c[person_chain(model)[2]] == 1.0
+    with pytest.raises(ValueError):
+        health_person(HealthParams(model="sir", init=(0.25, 0.25, 0.25, 0.25)))
+
+
 def test_build_health_chain_custom_init():
     p = HealthParams(model="sir", population=2, init=(0.0, 1.0, 0.0))
     _, x0, c = build_health_chain(p)
@@ -171,8 +186,10 @@ def test_sample_horizons_degenerate():
 def test_sample_horizons_validation():
     with pytest.raises(ValueError):
         sample_horizons(10, 5, 7, 4, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="samples"):
         sample_horizons(1, 10, 5, 0, 0)
+    with pytest.raises(ValueError, match="seed"):
+        sample_horizons(1, 10, 5, 4, -1)
 
 
 # --------------------------------------------------------- compare_report ---
@@ -247,6 +264,10 @@ def test_compare_report_validation():
         compare_report(m, x0, c, [2], 0.1, seed=0, support_max=1)
     with pytest.raises(ValueError):
         compare_report(m, x0, c, [2], 0.1, seed=0, copies=0)
+    with pytest.raises(ValueError, match="population"):
+        compare_report(m, x0, c, [2], 0.1, seed=0, population=0)
+    with pytest.raises(ValueError, match="seed"):
+        compare_report(m, x0, c, [2], 0.1, seed=-1)
     with pytest.raises(ValueError):
         compare_report(np.ones((2, 2)), x0, c, [2], 0.1, seed=0)
     with pytest.raises(ValueError):
@@ -365,6 +386,120 @@ def test_compare_report_rollout_memory_is_blocked():
     # drawn all at once, the uniforms alone would take 19.8 MB (2 copies x
     # (t + 1) doubles per sample); unblocked, the traced peak is 23.9 MB
     assert peak < 16e6, f"peak traced memory {peak / 1e6:.1f} MB"
+
+
+# ------------------------------------------------ per-person population ---
+
+# A zero entry in the initial law makes an empty block at the start draw.
+_POPULATION_INITS = {
+    "sir": (None, (1 / 3, 1 / 3, 1 / 3), (0.5, 0.0, 0.5)),
+    "svir": (None, (0.25, 0.25, 0.25, 0.25), (0.3, 0.0, 0.7, 0.0)),
+}
+
+
+@pytest.mark.parametrize("init_case", [0, 1, 2], ids=["default", "uniform", "zero-entry"])
+@pytest.mark.parametrize("population", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("model", ["sir", "svir"])
+def test_population_rollouts_equal_dense_kronecker_chain(model, population, init_case):
+    p = HealthParams(model=model, population=population,
+                     init=_POPULATION_INITS[model][init_case])
+    person, init, c = health_person(p)
+    m, x0, joint_c = build_health_chain(p)
+    cum_cols = scenarios._cumulative_columns(person)
+    cum_x0 = np.cumsum(init)
+    for seed in range(5):
+        samples = sample_horizons(1, 15, 8, 60, seed) + [1, 15]
+        copies = 1 + seed % 2
+        got = scenarios._rollout_costs(cum_cols, cum_x0, c, samples, copies, seed,
+                                       population)
+        want = rollout_costs_oracle(m, x0, joint_c, samples, seed, copies)
+        assert np.array_equal(got, want), f"seed {seed}"
+
+
+@pytest.mark.parametrize("k,population", [(2, 1), (2, 5), (3, 4), (4, 3), (5, 2)])
+def test_decode_picks_the_dense_kronecker_state(k, population):
+    # Persons hold different states here, so the digit order is observable:
+    # person 0 must be the most significant digit, as in np.kron.
+    rng = np.random.default_rng(10 * k + population)
+    m = rng.random((k, k))
+    zero = rng.random((k, k)) < 0.4
+    zero[[0, -1]] = False                       # every column keeps two states
+    m[zero] = 0.0
+    m /= m.sum(axis=0)
+    joint = m
+    for _ in range(population - 1):
+        joint = np.kron(joint, m)
+    dense = np.cumsum(joint, axis=0)
+    state = rng.integers(0, k, size=(population, 400))   # stepped in place
+    u = rng.random(400)
+    u[:3] = (0.0, 1.0 - 2.0 ** -53, 0.5)
+    place = k ** np.arange(population - 1, -1, -1)
+    want = [min(int(np.searchsorted(dense[:, s], v, side="right")), k ** population - 1)
+            for s, v in zip(place @ state, u)]
+    scenarios._decode(np.cumsum(m, axis=0).ravel(), k, k, state, u)
+    assert (place @ state).tolist() == want
+
+
+def test_decode_clamps_every_person_past_a_short_column():
+    # Columns sum to 1 - 1e-12 and the last state is unreachable, so a draw
+    # above the sum is clamped into an empty block; the dense table sends it
+    # to the last joint state, and so must every later person.
+    m = np.array([[0.5, 0.3, 0.2], [0.5, 0.7, 0.8], [0.0, 0.0, 0.0]]) * (1.0 - 1e-12)
+    state = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
+    u = np.full(3, 1.0 - 2.0 ** -53)
+    scenarios._decode(np.cumsum(m, axis=0).ravel(), 3, 3, state, u)
+    assert np.array_equal(state, np.full((3, 3), 2))
+
+
+@pytest.mark.parametrize("population", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("model", ["sir", "svir"])
+def test_population_report_equals_dense_report(model, population, monkeypatch):
+    p = HealthParams(model=model, population=population)
+    m, x0, joint_c = build_health_chain(p)
+    dense_g = cost_sequence_naive(m, x0, joint_c, 15).values
+    seen = []
+
+    def record(seq, ball, tols):
+        seen.append(seq.values.copy())
+        return original(seq, ball, tols)
+    original = scenarios.drce_finite
+    monkeypatch.setattr(scenarios, "drce_finite", record)
+    for seed in range(3):
+        samples = sample_horizons(1, 15, 8, 200, seed)
+        for xi in (0.0, 4.0):
+            got = compare_report(*health_person(p), samples, xi, seed,
+                                 population=population, support_max=15)
+            g = seen.pop()
+            want = compare_report(m, x0, joint_c, samples, xi, seed, support_max=15)
+            seen.pop()
+            assert np.abs(g - dense_g).max() <= 1e-14
+            assert got.pct_exceed_empirical == want.pct_exceed_empirical
+            assert got.pct_exceed_drce == want.pct_exceed_drce
+            assert got.t_hat == want.t_hat
+            assert got.empirical_cost == pytest.approx(want.empirical_cost, abs=1e-14)
+            assert got.drce_cost == pytest.approx(want.drce_cost, abs=1e-12)
+
+
+def test_population_report_needs_no_joint_chain(monkeypatch):
+    # The dense svir chain at N = 7 would hold 16384**2 doubles, 2 GiB.
+    def no_kron(*_):
+        raise AssertionError("np.kron called")
+    monkeypatch.setattr(np, "kron", no_kron)
+    population = 7
+    person, init, c = health_person(HealthParams(model="svir", population=population))
+    samples = sample_horizons(1, 15, 8, 2000, 3)
+    start = time.perf_counter()
+    rep = compare_report(person, init, c, samples, 4.0, 3, population=population,
+                         support_max=15)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, f"{elapsed:.2f} s"
+    assert 0.0 < rep.empirical_cost < population
+    g = cost_sequence_strided(person, init, c, 15).values * population
+    costs = scenarios._rollout_costs(scenarios._cumulative_columns(person),
+                                     np.cumsum(init), c, samples, 1, 3, population)
+    expected = float(np.mean(g[np.asarray(samples) - 1]))
+    stderr = float(costs.std(ddof=1)) / np.sqrt(len(samples))
+    assert abs(float(costs.mean()) - expected) <= 5.0 * stderr
 
 
 def test_comparison_report_csv_round_trip():
