@@ -16,6 +16,13 @@ robust value, and uses Monte Carlo rollouts to estimate how often either one
 is exceeded in realization. The rollouts of all samples step together as
 arrays; each sample's seeded substream is drawn in one call beforehand, so the
 realized costs are bit-identical to drawing and stepping one sample at a time.
+Sample i's substream is numpy's `Generator(PCG64(SeedSequence(entropy=seed,
+spawn_key=(i,))))`, but no SeedSequence is built per sample: a vectorized
+replica of SeedSequence's hashing and PCG64's seeding computes every stream's
+start state at once, and one reused generator draws each stream from it, bit
+for bit. Each step bisects only the support band of the walker's cumulative
+column, the rows between its last zero entry and its total, so the search
+costs the bit length of the widest band rather than of the state count.
 
 A population rollout still takes one uniform per joint step and decodes it
 person by person, in the Kronecker order (person 0 the most significant
@@ -32,6 +39,7 @@ would need a draw per person, which would change every rollout.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -257,6 +265,17 @@ def build_health_chain(p: HealthParams) -> tuple[np.ndarray, np.ndarray, np.ndar
     return m, x0, c
 
 
+def _checked_seed(seed) -> int:
+    """The seed as a Python int; bools count, floats and negatives do not."""
+    try:
+        value = operator.index(seed)
+    except TypeError:
+        value = -1
+    if value < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    return value
+
+
 def sample_horizons(lo: int, hi: int, mean: int, k: int, seed: int) -> list[int]:
     """k i.i.d. stopping times from a discretized triangular law on [lo, hi]
     with mode at mean, reproducible under the seed."""
@@ -265,8 +284,7 @@ def sample_horizons(lo: int, hi: int, mean: int, k: int, seed: int) -> list[int]
         raise ValueError("need 1 <= lo <= mean <= hi")
     if k < 1:
         raise ValueError(f"samples must be >= 1, got {k}")
-    if int(seed) < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    seed = _checked_seed(seed)
     ts = np.arange(lo, hi + 1)
     weights = np.where(
         ts <= mean,
@@ -283,27 +301,136 @@ def sample_horizons(lo: int, hi: int, mean: int, k: int, seed: int) -> list[int]
 # 1 MB (a block holds at least one sample, however long).
 _ROLLOUT_BLOCK_DRAWS = 1 << 17
 
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx), its
+# pool size, and the multiplier of PCG64's 128-bit LCG step.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_XSHIFT = 16
+_POOL_SIZE = 4
+_MASK32 = 0xFFFFFFFF
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _hashmix(value: np.ndarray, hash_const: int) -> tuple[np.ndarray, int]:
+    """SeedSequence's hashmix on a uint32 array; returns it and the next constant."""
+    value = value ^ np.uint32(hash_const)
+    hash_const = hash_const * _MULT_A & _MASK32
+    value = value * np.uint32(hash_const)
+    return value ^ (value >> np.uint32(_XSHIFT)), hash_const
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+    return result ^ (result >> np.uint32(_XSHIFT))
+
+
+def _stream_words(seed: int, keys: np.ndarray) -> np.ndarray:
+    """`SeedSequence(entropy=seed, spawn_key=(key,)).generate_state(4, np.uint64)`
+    for every key at once, as a keys.size x 4 array.
+
+    The entropy is the seed's uint32 words, least significant first and
+    zero-padded to the pool size, then the key (one word: sample indices stay
+    below 2**32). The pool is mixed as SeedSequence mixes it, on uint32 arrays
+    that wrap silently: the seed's words on one-element arrays, so only the
+    last round, the key's, and the output hashing run once per key.
+    """
+    n_words = max(_POOL_SIZE, -(-seed.bit_length() // 32))
+    keys = np.asarray(keys).astype(np.uint32)
+    entropy = [np.array([seed >> 32 * i & _MASK32], dtype=np.uint32)
+               for i in range(n_words)] + [keys]
+    hash_const = _INIT_A
+    pool = []
+    for word in entropy[:_POOL_SIZE]:
+        value, hash_const = _hashmix(word, hash_const)
+        pool.append(value)
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                value, hash_const = _hashmix(pool[src], hash_const)
+                pool[dst] = _mix(pool[dst], value)
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            value, hash_const = _hashmix(word, hash_const)
+            pool[dst] = _mix(pool[dst], value)
+    # generate_state cycles over the pool for 8 uint32 words, read in pairs
+    # as little-endian uint64s
+    hash_const = _INIT_B
+    state = np.empty((keys.size, 2 * _POOL_SIZE), dtype="<u4")
+    for i in range(2 * _POOL_SIZE):
+        value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * np.uint32(hash_const)
+        state[:, i] = value ^ (value >> np.uint32(_XSHIFT))
+    return state.view("<u8")
+
+
+def _draw_streams(gen: np.random.Generator, seed: int, keys: np.ndarray,
+                  widths: list[int], out: np.ndarray) -> None:
+    """Fill `out` with the first widths[j] draws of each key's stream in turn,
+    `Generator(PCG64(SeedSequence(entropy=seed, spawn_key=(key,)))).random`,
+    through the one PCG64 generator `gen`, whose state is overwritten.
+
+    PCG64 seeds from the words (w0, w1, w2, w3) with initstate = w0 w1 and
+    inc = (w2 w3) << 1 | 1: its state starts at inc, adds initstate and takes
+    one LCG step, all mod 2**128. Setting that state reproduces the stream.
+    """
+    bitgen = gen.bit_generator
+    inner = {}
+    state = {"bit_generator": "PCG64", "state": inner, "has_uint32": 0, "uinteger": 0}
+    first = 0
+    for (w0, w1, w2, w3), width in zip(_stream_words(seed, keys).tolist(), widths):
+        inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
+        inner["state"] = ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _MASK128
+        inner["inc"] = inc
+        bitgen.state = state
+        gen.random(out=out[first:first + width])
+        first += width
+
+
+def _support_band(cum_flat: np.ndarray, n: int,
+                  stride: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """Each column's support band in the n x stride cumulative table.
+
+    Entries <= 0 form a prefix of a column, and entries equal to its total a
+    suffix; the rows between are the band. Returns the flat indices of each
+    column's first band row `lo` and first total row `hi` (lo <= hi), the
+    totals, and the bisection depth, the bit length of the widest band.
+    """
+    cum = cum_flat[:n * stride].reshape(n, stride)
+    total = cum[-1]
+    hi = (cum < total).sum(axis=0)
+    lo = np.minimum((cum <= 0.0).sum(axis=0), hi)
+    cols = np.arange(stride)
+    return lo * stride + cols, hi * stride + cols, total, int((hi - lo).max()).bit_length()
+
 
 def _next_states(cum_flat: np.ndarray, n: int, state: np.ndarray,
-                 u: np.ndarray, stride: int | None = None) -> np.ndarray:
-    """Vectorized `min(searchsorted(cum[:, s], u, side="right"), n - 1)`.
+                 u: np.ndarray, stride: int | None = None, *,
+                 band: tuple | None = None) -> np.ndarray:
+    """Vectorized `min(searchsorted(cum[:, s], u, side="right"), n - 1)` for u >= 0.
 
-    cum_flat is the C-ordered n x stride array of cumulative columns (stride
-    n unless given). Bisection over the rows of each walker's column finds
-    the count of entries <= u (a column is nondecreasing, so those entries
-    form a prefix); `off` is the flat index of row `count` in that column. A
-    probe past the last row is clamped to it, which can only overshoot when
-    every entry is <= u, and the final clamp to n - 1 absorbs that.
+    cum_flat is the C-ordered n x stride array of nondecreasing cumulative
+    columns (stride n unless given), and `band` its `_support_band`, derived
+    here unless passed. A draw u >= the column total takes the clamp to
+    n - 1. Below it, every entry <= 0 counts and no entry equal to the total
+    does, so the count of entries <= u is lo plus that of the band's rows,
+    which bisection finds in `depth` levels rather than bit_length(n): one
+    for the csoc overtime chain, where a column holds two states. A probe is
+    clamped to row hi, whose entry (the total) exceeds u; `off` ends at the
+    flat index of row `count`.
     """
     stride = n if stride is None else stride
-    off = state
-    last = state + (n - 1) * stride
-    step = 1 << (n.bit_length() - 1)
+    lo_at, hi_at, total, depth = _support_band(cum_flat, n, stride) if band is None else band
+    off = lo_at[state]
+    last = hi_at[state]
+    step = 1 << depth >> 1
     while step:
         probe = np.minimum(off + (step - 1) * stride, last)
         off = np.where(cum_flat[probe] <= u, probe + stride, off)
         step >>= 1
-    return np.minimum(off // stride, n - 1)
+    return np.where(u < total[state], off // stride, n - 1)
 
 
 def _cumulative_columns(a: np.ndarray) -> np.ndarray:
@@ -319,9 +446,10 @@ def _cumulative_columns(a: np.ndarray) -> np.ndarray:
 
 
 def _decode(cum_flat: np.ndarray, n: int, stride: int, state: np.ndarray,
-            u: np.ndarray) -> None:
+            u: np.ndarray, *, band: tuple | None = None) -> None:
     """Step every person for one draw per walker, in place: row d of `state`
-    is person d's state, the column it reads of the n x stride table.
+    is person d's state, the column it reads of the n x stride table (whose
+    `_support_band` is `band`, derived here unless passed).
 
     Person 0 is the most significant digit, as in np.kron. Each person takes
     the state j its own column selects for the draw, and the draw is then
@@ -329,8 +457,10 @@ def _decode(cum_flat: np.ndarray, n: int, stride: int, state: np.ndarray,
     where that block is empty (the draw was clamped into a zero-probability
     state), so the later persons clamp too.
     """
+    if band is None:
+        band = _support_band(cum_flat, n, stride)
     for d in range(state.shape[0]):
-        j = _next_states(cum_flat, n, state[d], u, stride)
+        j = _next_states(cum_flat, n, state[d], u, stride, band=band)
         if d + 1 < state.shape[0]:
             at = j * stride + state[d]
             lo = np.where(j > 0, cum_flat[at - stride], 0.0)
@@ -346,10 +476,14 @@ def _rollout_costs(cum_cols: np.ndarray, cum_x0: np.ndarray, c: np.ndarray,
 
     Sample i draws from its own substream, spawn key (i,) under the seed:
     copy r takes draws r(t_i+1) .. r(t_i+1)+t_i, the first picking the start
-    state from x0 and each later one a step. Every sample's draws are made in
-    one call and all walkers of a block step together, longest first so the
-    walkers still moving form a prefix; the states, and hence the costs, are
-    bit-identical to drawing and stepping one copy at a time.
+    state from x0 and each later one a step. A block's streams are seeded in
+    one vectorized replica of numpy's SeedSequence and PCG64 seeding
+    (`_stream_words`), then drawn through one reused generator
+    (`_draw_streams`), so no per-sample SeedSequence is built. All walkers of
+    a block step together, longest first so the walkers still moving form a
+    prefix, each bisecting only its column's support band (`_next_states`);
+    the states, and hence the costs, are bit-identical to drawing and
+    stepping one copy at a time with a fresh generator per sample.
 
     With digits = N > 1 the tables describe one person and a walker is N
     persons, its cost the sum of theirs. Each draw is decoded digit by digit
@@ -359,6 +493,9 @@ def _rollout_costs(cum_cols: np.ndarray, cum_x0: np.ndarray, c: np.ndarray,
     """
     n = c.shape[0]
     cum_flat = cum_cols.ravel()
+    step_band = _support_band(cum_flat, n, n)
+    x0_band = _support_band(cum_x0, n, 1)
+    gen = np.random.Generator(np.random.PCG64(0))
     ts = np.asarray(samples, dtype=np.intp)
     block = max(1, _ROLLOUT_BLOCK_DRAWS // (copies * (int(ts.max()) + 1)))
     costs = np.empty(ts.size)
@@ -369,19 +506,16 @@ def _rollout_costs(cum_cols: np.ndarray, cum_x0: np.ndarray, c: np.ndarray,
         widths = copies * (t + 1)
         starts = np.cumsum(widths) - widths
         u = np.empty(int(widths.sum()))
-        for i, first, width in zip(ids.tolist(), starts.tolist(), widths.tolist()):
-            stream = np.random.Generator(
-                np.random.PCG64(np.random.SeedSequence(entropy=seed, spawn_key=(i,))))
-            stream.random(out=u[first:first + width])
+        _draw_streams(gen, seed, ids, widths.tolist(), u)
         # walker a * copies + r is copy r of sample ids[a]; state[d] is person d
         base = (starts[:, None] + np.arange(copies) * (t + 1)[:, None]).ravel()
         state = np.zeros((digits, base.size), dtype=np.intp)
-        _decode(cum_x0, n, 1, state, u[base])      # x0's law as a one-column table
+        _decode(cum_x0, n, 1, state, u[base], band=x0_band)  # x0's law as a one-column table
         # moving[j - 1] counts the walkers with t >= j, a prefix as t descends
         moving = np.searchsorted(-np.repeat(t, copies), -np.arange(1, t[0] + 1),
                                  side="right")
         for step, k in enumerate(moving.tolist(), start=1):
-            _decode(cum_flat, n, n, state[:, :k], u[base[:k] + step])
+            _decode(cum_flat, n, n, state[:, :k], u[base[:k] + step], band=step_band)
         walker_cost = c[state].sum(axis=0).reshape(-1, copies)
         total = np.zeros(ids.size)
         for r in range(copies):     # in copy order, so rounding matches a running sum
@@ -403,8 +537,11 @@ def compare_report(m, x0, c, samples, xi: float, seed: int, *,
     at radius xi. Monte Carlo rollouts, one per sample with per-sample
     substreams split from the seed, estimate how often the realized cost
     exceeds each estimate. The rollouts run batched over blocks of samples,
-    with each sample's substream pre-drawn; the percentages are bit-identical
-    to sequential per-sample draws.
+    with each sample's substream pre-drawn from a start state that a
+    vectorized replica of numpy's SeedSequence/PCG64 seeding computes for the
+    whole block, and each step bisects only the support band of its column;
+    the percentages are bit-identical to sequential per-sample draws from
+    fresh generators. The seed must be a non-negative integer.
 
     With population = N > 1, (m, x0, c) describe one person and each replica
     is N independent, identical persons, costing the sum of their costs. The
@@ -433,8 +570,7 @@ def compare_report(m, x0, c, samples, xi: float, seed: int, *,
         raise ValueError("copies must be >= 1")
     if population < 1:
         raise ValueError("population must be >= 1")
-    if int(seed) < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    seed = _checked_seed(seed)
 
     k = len(samples)
     t_hat = int(round(sum(samples) / k))
@@ -455,4 +591,4 @@ def compare_report(m, x0, c, samples, xi: float, seed: int, *,
     pct_emp = 100.0 * float(np.mean(costs > empirical))
     pct_rob = 100.0 * float(np.mean(costs > robust))
     return ComparisonReport(empirical, robust, pct_emp, pct_rob,
-                            t_hat, float(xi), int(seed))
+                            t_hat, float(xi), seed)

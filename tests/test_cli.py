@@ -306,6 +306,23 @@ def test_scenario_rows_are_pinned(name, capsys):
     assert out == ComparisonReport.CSV_HEADER + "\n" + SCENARIO_GOLDEN_ROWS[name] + "\n"
 
 
+# Seeds of two and five uint32 words, printed before the per-sample
+# SeedSequence was replaced by the vectorized replica of its seeding.
+MULTIWORD_SEED_ROWS = {
+    2**32: "0.573429053239,0.636500206663,44.6,31,60,4,4294967296",
+    2**128 + 1: "0.555591818375,0.617061379188,44.4,33.6,62,4,"
+                "340282366920938463463374607431768211457",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(MULTIWORD_SEED_ROWS))
+def test_scenario_rows_are_pinned_at_multiword_seeds(seed, capsys):
+    code, out, err = run_cli(capsys, "scenario", "csoc",
+                             "--samples", "500", "--xi", "4", "--seed", str(seed))
+    assert code == 0, err
+    assert out == ComparisonReport.CSV_HEADER + "\n" + MULTIWORD_SEED_ROWS[seed] + "\n"
+
+
 def test_scenario_svir_builds_no_joint_chain(monkeypatch, capsys):
     def refuse(*_, **__):
         raise AssertionError("dense joint chain built")

@@ -190,6 +190,9 @@ def test_sample_horizons_validation():
         sample_horizons(1, 10, 5, 0, 0)
     with pytest.raises(ValueError, match="seed"):
         sample_horizons(1, 10, 5, 4, -1)
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got 1.5"):
+        sample_horizons(1, 10, 5, 4, 1.5)
+    assert sample_horizons(1, 10, 5, 4, True) == sample_horizons(1, 10, 5, 4, 1)
 
 
 # --------------------------------------------------------- compare_report ---
@@ -268,6 +271,10 @@ def test_compare_report_validation():
         compare_report(m, x0, c, [2], 0.1, seed=0, population=0)
     with pytest.raises(ValueError, match="seed"):
         compare_report(m, x0, c, [2], 0.1, seed=-1)
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got 1.5"):
+        compare_report(m, x0, c, [2], 0.1, seed=1.5)
+    assert compare_report(m, x0, c, [2], 0.1, seed=True) == \
+        compare_report(m, x0, c, [2], 0.1, seed=1)
     with pytest.raises(ValueError):
         compare_report(np.ones((2, 2)), x0, c, [2], 0.1, seed=0)
     with pytest.raises(ValueError):
@@ -370,6 +377,98 @@ def test_next_states_matches_searchsorted_on_exact_ties():
         want = [min(int(np.searchsorted(cum[:, s], v, side="right")), n - 1)
                 for s, v in zip(state, u)]
         assert scenarios._next_states(cum.ravel(), n, state, u).tolist() == want
+
+
+# Seeds at the boundaries of their uint32 word count, which sets how
+# SeedSequence pads the entropy (below four words) or mixes the words past the
+# fourth into its pool before the spawn key.
+_WORD_BOUNDARY_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96,
+                        2**128 - 1, 2**128, 2**160 + 7]
+
+
+@pytest.mark.parametrize("seed", _WORD_BOUNDARY_SEEDS)
+def test_draw_streams_equal_numpy_seeded_generators(seed):
+    keys = np.random.default_rng(seed % 1000).permutation(601)   # blocks draw in any key order
+    widths = [int(key) % 300 + 1 for key in keys]
+    u = np.empty(sum(widths))
+    scenarios._draw_streams(np.random.Generator(np.random.PCG64(0)), seed, keys, widths, u)
+    first = 0
+    for key, width in zip(keys.tolist(), widths):
+        want = np.random.Generator(np.random.PCG64(
+            np.random.SeedSequence(entropy=seed, spawn_key=(key,)))).random(width)
+        assert np.array_equal(u[first:first + width], want), f"key {key}"
+        first += width
+
+
+def _band_tables(rng):
+    """(name, n x stride cumulative table) cases for the band search."""
+    tables = []
+    for n in (1, 2, 3, 5, 8, 17, 101):
+        rows, cols = np.indices((n, n))
+        for w in (0, 1, 3):             # column s supported on rows s - w .. s + w
+            m = rng.random((n, n)) * (np.abs(rows - cols) <= w)
+            tables.append((f"banded n={n} w={w}", np.cumsum(m / m.sum(axis=0), axis=0)))
+        # ragged supports with zero rows inside, totals at or below 1, and
+        # (for n > 1) an all-zero column
+        m = np.zeros((n, n))
+        for s in range(n):
+            a, b = np.sort(rng.integers(0, n, size=2))
+            m[a:b + 1, s] = rng.random(b - a + 1) * (rng.random(b - a + 1) < 0.6)
+            m[[a, b], s] = rng.random(2) + 0.1
+            m[:, s] *= rng.choice([1.0, 1.0 - 1e-12, 0.7]) / m[:, s].sum()
+        if n > 1:
+            m[:, n // 2] = 0.0
+        tables.append((f"ragged n={n}", np.cumsum(m, axis=0)))
+        for stride in (1, n + 3):       # x0's one-column table; a wider table
+            m = rng.random((n, stride)) * (rng.random((n, stride)) < 0.5)
+            tables.append((f"stride n={n} stride={stride}",
+                           np.cumsum(0.9 * m / np.maximum(m.sum(axis=0), 1e-300), axis=0)))
+    return tables
+
+
+def test_next_states_band_search_matches_searchsorted():
+    rng = np.random.default_rng(2024)
+    for name, cum in _band_tables(rng):
+        n, stride = cum.shape
+        state = rng.integers(0, stride, size=600)
+        u = rng.random(600)
+        u[:200] = cum[rng.integers(0, n, size=200), state[:200]]     # ties with entries
+        u[200:210] = cum[-1, state[200:210]]                         # ties with the total
+        u[210:216] = (0.0, 1.0, 1.0 - 2.0 ** -53, 0.0, 1.0, 0.5)     # u = 1: _decode's width-0 rule
+        want = [min(int(np.searchsorted(cum[:, s], v, side="right")), n - 1)
+                for s, v in zip(state, u)]
+        flat = cum.ravel()
+        band = scenarios._support_band(flat, n, stride)
+        assert scenarios._next_states(flat, n, state, u, stride).tolist() == want, name
+        assert scenarios._next_states(flat, n, state, u, stride, band=band).tolist() == want, name
+
+
+def test_csoc_overtime_steps_bisect_one_level():
+    # each overtime column holds two states, so its band is one row wide
+    m, _, _ = build_csoc_overtime(CsocParams())
+    n = m.shape[0]
+    assert scenarios._support_band(scenarios._cumulative_columns(m).ravel(), n, n)[3] == 1
+
+
+def test_rollouts_build_no_generator_per_sample(monkeypatch):
+    p = CsocParams()
+    m, x0, c = build_csoc_overtime(p)
+    sample_sets = [sample_horizons(p.overtime_min, p.overtime_max, p.overtime_mean, k, 0)
+                   for k in (10, 1000)]
+    built = {}
+    for name in ("SeedSequence", "PCG64", "Generator"):
+        def counted(*args, _make=getattr(np.random, name), _name=name, **kwargs):
+            built[_name] = built.get(_name, 0) + 1
+            return _make(*args, **kwargs)
+        monkeypatch.setattr(np.random, name, counted)
+    counts = []
+    for samples in sample_sets:       # 1000 samples fill two rollout blocks
+        built.clear()
+        compare_report(m, x0, c, samples, 4.0, 0, copies=p.analysts,
+                       support_max=p.overtime_max)
+        counts.append(dict(built))
+    assert counts[0] == counts[1]
+    assert sum(counts[1].values()) <= 3, counts
 
 
 def test_compare_report_rollout_memory_is_blocked():
