@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .config import DEFAULT_TOLS, Tolerances
-from .matrix_core import as_matrix, as_vector, real_jordan, spectral_radius
+from .matrix_core import as_matrix, as_vector, certify_stable, real_jordan
 
 
 @dataclass(frozen=True)
@@ -97,14 +97,17 @@ def _rationalize(theta: float, tols: Tolerances) -> tuple[int, int] | None:
 
 
 def decompose(m, c, x, tols: Tolerances = DEFAULT_TOLS) -> OscillatorySum:
-    """Expand <c, M^t x> into damped oscillations via the real Jordan form."""
+    """Expand <c, M^t x> into damped oscillations via the real Jordan form.
+
+    rho(M) < 1 is certified by squaring M (`certify_stable`) before the one
+    eigensolve inside `real_jordan`.
+    """
     a = as_matrix(m)
     cv = as_vector(c)
     xv = as_vector(x)
     if a.shape[0] != a.shape[1] or cv.shape[0] != a.shape[0] or xv.shape[0] != a.shape[0]:
         raise ValueError("dimension mismatch between matrix, cost, and state")
-    if spectral_radius(a) >= 1.0:
-        raise ValueError("spectral radius must be strictly below 1")
+    certify_stable(a)
     form = real_jordan(a, tols)
     sigma = form.p_matrix.T @ cv
     tau = form.p_inverse @ xv

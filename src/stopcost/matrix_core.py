@@ -89,6 +89,29 @@ def mat_pow(m, k: int) -> np.ndarray:
     return result
 
 
+def certify_stable(m, max_k: int = 2 ** 36) -> int:
+    """Least k = 2^j with |M^k|_inf <= 1/2, a certificate that rho(M) < 1.
+
+    M is squared until the max row sum of |M^k| is at most 1/2, so rho(M)^k <=
+    1/2; no eigensolver runs. The margin below 1 matters: a chain with two
+    closed classes reduces to a matrix whose powers tend to a projector of
+    norm exactly 1, which rounding can leave a hair under 1. Raises ValueError
+    once k reaches max_k or |M^k|_inf exceeds 1e150 (the next square could
+    overflow). With rho(M) = 1 - delta the least k is about ln(2C) / delta, C
+    the transient growth of the powers, so the default cap accepts gaps down
+    to about 1.5e-11 * ln(2C), and a unit eigenvalue that rounding moved by
+    less than ln(2) / max_k = 1e-11 is still rejected.
+    """
+    power, k = _square(m), 1
+    if power.shape[0] == 0:
+        return k
+    while (norm := float(np.abs(power).sum(axis=1).max())) > 0.5:
+        if k >= max_k or norm > 1e150:
+            raise ValueError(f"spectral radius must be strictly below 1 (|M^k|_inf > 1/2, k <= {k})")
+        power, k = power @ power, 2 * k
+    return k
+
+
 def spectral_radius(m) -> float:
     """Largest eigenvalue magnitude."""
     a = _square(m)
@@ -157,26 +180,25 @@ def _phase_align(z: np.ndarray) -> np.ndarray:
 
 def _assemble(lam: np.ndarray, vecs: np.ndarray, scale: float, tols: Tolerances):
     n = lam.shape[0]
-    imag_tol = tols.eigen_distinct * scale
-    real_idx = [i for i in range(n) if abs(lam[i].imag) <= imag_tol]
-    pair_idx = [i for i in range(n) if lam[i].imag > imag_tol]
+    tol = tols.eigen_distinct * scale
+    real_idx = [i for i in range(n) if abs(lam[i].imag) <= tol]
+    pair_idx = [i for i in range(n) if lam[i].imag > tol]
     if len(real_idx) + 2 * len(pair_idx) != n:
         return None  # unmatched conjugates; treat like a failed attempt
 
     pair_idx.sort(key=lambda i: abs(lam[i]))
     real_idx.sort(key=lambda i: abs(lam[i].real))
 
-    # distinctness: all eigenvalues pairwise separated, all magnitudes pairwise separated
-    eig_list = [lam[i] for i in real_idx] + [lam[i] for i in pair_idx] + [np.conj(lam[i]) for i in pair_idx]
-    for a in range(len(eig_list)):
-        for b in range(a + 1, len(eig_list)):
-            if abs(eig_list[a] - eig_list[b]) < tols.eigen_distinct * scale:
-                return None
-    mags = [abs(lam[i].real) for i in real_idx] + [abs(lam[i]) for i in pair_idx]
-    for a in range(len(mags)):
-        for b in range(a + 1, len(mags)):
-            if abs(mags[a] - mags[b]) < tols.eigen_distinct * scale:
-                return None
+    # distinctness: all eigenvalues pairwise separated, all magnitudes pairwise
+    # separated. np.hypot rounds exactly like abs() of a complex scalar, which
+    # np.abs on a complex array need not: it can differ in the last bit.
+    real_lam, pair_lam = lam[real_idx], lam[pair_idx]
+    eigs = np.concatenate([real_lam, pair_lam, np.conj(pair_lam)])
+    diff = eigs[:, None] - eigs[None, :]
+    mags = np.concatenate([np.abs(real_lam.real), np.hypot(pair_lam.real, pair_lam.imag)])
+    if np.triu(np.hypot(diff.real, diff.imag) < tol, 1).any() or \
+            np.triu(np.abs(mags[:, None] - mags[None, :]) < tol, 1).any():
+        return None
 
     cols = []
     blocks = []

@@ -276,6 +276,14 @@ def _checked_seed(seed) -> int:
     return value
 
 
+def _as_int(value, requirement: str) -> int:
+    """value as a Python int; bools and numpy integers count, floats do not."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{requirement}, got {value}") from None
+
+
 def sample_horizons(lo: int, hi: int, mean: int, k: int, seed: int) -> list[int]:
     """k i.i.d. stopping times from a discretized triangular law on [lo, hi]
     with mode at mean, reproducible under the seed."""
@@ -541,7 +549,8 @@ def compare_report(m, x0, c, samples, xi: float, seed: int, *,
     vectorized replica of numpy's SeedSequence/PCG64 seeding computes for the
     whole block, and each step bisects only the support band of its column;
     the percentages are bit-identical to sequential per-sample draws from
-    fresh generators. The seed must be a non-negative integer.
+    fresh generators. The seed must be a non-negative integer, and the
+    samples and support_max integers: a float among them raises ValueError.
 
     With population = N > 1, (m, x0, c) describe one person and each replica
     is N independent, identical persons, costing the sum of their costs. The
@@ -561,7 +570,7 @@ def compare_report(m, x0, c, samples, xi: float, seed: int, *,
         raise ValueError("matrix must be column-stochastic for rollouts")
     if np.any(x < -tols.entry_clamp) or abs(x.sum() - 1.0) > tols.column_sum:
         raise ValueError("x0 must be a probability distribution for rollouts")
-    samples = [int(t) for t in samples]
+    samples = [_as_int(t, "samples must be integers") for t in samples]
     if not samples:
         raise ValueError("samples must be non-empty")
     if any(t < 1 for t in samples):
@@ -574,7 +583,8 @@ def compare_report(m, x0, c, samples, xi: float, seed: int, *,
 
     k = len(samples)
     t_hat = int(round(sum(samples) / k))
-    horizon = max(samples) if support_max is None else int(support_max)
+    horizon = max(samples) if support_max is None else \
+        _as_int(support_max, "support_max must be an integer")
     if horizon < max(samples):
         raise ValueError("support_max is below the largest sample")
 

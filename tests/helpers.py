@@ -3,8 +3,12 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import scipy.linalg
 from scipy import sparse
 from scipy.optimize import linprog
+
+from stopcost.config import DEFAULT_TOLS
+from stopcost.markov_gas import _validate_transition
 
 
 def random_chain(rng, n):
@@ -243,3 +247,34 @@ def exact_cost_values(a, q, c, x, horizon):
         w = [sum(a[i][j] * w[j] for j in range(n)) for i in range(n)]
         values.append(sum(Fraction(ci) * wi for ci, wi in zip(c, w)) / q ** t)
     return values
+
+
+def stationary_eigvals_oracle(m, tols=DEFAULT_TOLS):
+    """`stationary` as it was before its stability certificate: the chain is
+    accepted when exactly one eigenvalue has modulus >= 1 - 1e-9, then pi is
+    found by the same shifted inverse iteration."""
+    a = _validate_transition(m, tols)
+    n = a.shape[0]
+    lam = np.linalg.eigvals(a)
+    if int(np.sum(np.abs(lam) >= 1.0 - 1e-9)) != 1:
+        raise ValueError("multiple unit-magnitude eigenvalues: chain is not ergodic enough")
+    shift = 1.0 + 1e-11
+    lu, piv = scipy.linalg.lu_factor(a - shift * np.eye(n))
+    v = np.full(n, 1.0 / n)
+    best, best_res = None, np.inf
+    for _ in range(100):
+        y = scipy.linalg.lu_solve((lu, piv), v)
+        s = y.sum()
+        if s == 0.0:
+            raise RuntimeError("inverse iteration broke down")
+        y /= s
+        res = np.abs(a @ y - y).max()
+        if res < best_res:
+            best, best_res = y, res
+        elif best_res <= tols.stationary_residual:
+            break
+        v = y
+    if best is None or best_res > tols.stationary_residual:
+        raise RuntimeError("inverse iteration did not converge")
+    best = np.where(np.abs(best) < tols.entry_clamp, 0.0, best)
+    return best / best.sum()

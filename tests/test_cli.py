@@ -7,8 +7,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import stopcost
+import stopcost.matrix_core
 from stopcost.cli import main
 from stopcost.finite_horizon import CostSequence, cost_sequence_naive
 from stopcost.scenarios import ComparisonReport, CsocParams, HealthParams, build_csoc_overtime, \
@@ -229,6 +231,61 @@ def test_drce_geom_rejects_nonfinite_radius_and_eps(tmp_path, capsys):
         code, out, err = run_cli(capsys, "drce-geom", "--model", model, "--rho", "0.5",
                                  "--radius", radius, "--eps", eps)
         assert code == 2 and out == "" and name in err, (radius, eps, err)
+
+
+EIGENSOLVERS = [(np.linalg, "eig"), (np.linalg, "eigvals"),
+                (scipy.linalg, "eig"), (scipy.linalg, "eigvals"), (scipy.linalg, "schur")]
+
+
+def _lazy_cycle_files(tmp_path, n=48):
+    m, c, x0 = lazy_cycle(np.random.default_rng(43), n)
+    model = write_json(tmp_path / "cycle.json", {"kind": "markov", "n": n,
+                                                  "matrix": m.ravel().tolist(),
+                                                  "cost": c.tolist(), "x0": x0.tolist()})
+    nominal = tmp_path / "nominal.csv"
+    nominal.write_text("t,p\n" + "".join(f"{t},{p}\n" for t, p in enumerate([0.1, 0.2, 0.4, 0.2, 0.1], 1)))
+    return model, str(nominal)
+
+
+def test_markov_ops_run_no_eigensolver(tmp_path, capsys, monkeypatch):
+    """Stability of a Markov file is certified by squaring: rce-inf, convert,
+    rce and drce answer as before with every eigensolver disabled."""
+    model, nominal = _lazy_cycle_files(tmp_path)
+    runs = [("rce-inf", "--model", model), ("convert", "--model", model),
+            ("rce", "--model", model, "--horizon", "300"),
+            ("drce", "--model", model, "--nominal", nominal, "--radius", "0.5")]
+    expected = [run_cli(capsys, *argv) for argv in runs]
+    assert all(code == 0 for code, _, _ in expected)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a Markov op reached an eigensolver")
+
+    for module, name in EIGENSOLVERS:
+        monkeypatch.setattr(module, name, forbidden)
+    assert [run_cli(capsys, *argv) for argv in runs] == expected
+
+
+def test_drce_geom_eigensolves_only_in_real_jordan(tmp_path, capsys, monkeypatch):
+    model, _ = _lazy_cycle_files(tmp_path)
+    argv = ("drce-geom", "--model", model, "--rho", "0.02", "--radius", "5")
+    expected = run_cli(capsys, *argv)
+    assert expected[0] == 0, expected[2]
+    callers = []
+    eig = np.linalg.eig
+
+    def traced(*args, **kwargs):
+        frame = sys._getframe(1)
+        callers.append((frame.f_code.co_name, frame.f_globals["__name__"]))
+        return eig(*args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("drce-geom reached an eigensolver outside real_jordan")
+
+    for module, name in EIGENSOLVERS:
+        monkeypatch.setattr(module, name, forbidden)
+    monkeypatch.setattr(np.linalg, "eig", traced)
+    assert run_cli(capsys, *argv) == expected
+    assert callers and set(callers) == {("real_jordan", stopcost.matrix_core.__name__)}
 
 
 PACKAGED_MODELS = {

@@ -419,7 +419,7 @@ def test_rce_infinite_needs_no_eigen_decomposition(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("rce_infinite reached an eigen-decomposition")
 
-    for name in ("decompose", "real_jordan", "spectral_radius", "find_t0", "find_n0"):
+    for name in ("decompose", "real_jordan", "find_t0", "find_n0"):
         monkeypatch.setattr(infinite_horizon, name, forbidden)
     for name in ("real_jordan", "spectral_radius"):
         monkeypatch.setattr(matrix_core, name, forbidden)

@@ -12,8 +12,9 @@ from stopcost.markov_gas import (
     transfer_cost,
 )
 from stopcost.matrix_core import mat_pow, spectral_radius
+from stopcost.scenarios import HealthParams, build_health_chain
 
-from helpers import random_chain
+from helpers import random_chain, stationary_eigvals_oracle
 
 TWO_STATE = np.array([[0.8, 0.1], [0.2, 0.9]])
 
@@ -60,6 +61,72 @@ def test_stationary_rejects_reducible_chain():
     m[2:, 2:] = np.array([[0.9, 0.3], [0.1, 0.7]])
     with pytest.raises(ValueError):
         stationary(m)
+
+
+def _periodic_chain(rng, n, period):
+    """Random chain whose states split into `period` classes visited in turn."""
+    cls = np.arange(n) % period
+    m = np.where(cls[:, None] == (cls[None, :] + 1) % period, rng.random((n, n)) + 0.05, 0.0)
+    return m / m.sum(axis=0)
+
+
+def _two_class_chain(rng, n, transient):
+    """Two closed classes, plus `transient` states that drain into both."""
+    m = np.zeros((n, n))
+    h = (n - transient) // 2
+    for lo, hi in ((0, h), (h, n - transient)):
+        m[lo:hi, lo:hi] = random_chain(rng, hi - lo)
+    m[:, n - transient:] = rng.random((n, transient)) + 0.05
+    return m / m.sum(axis=0)
+
+
+def _absorbing_chain(rng, n):
+    """Lower-triangular chain: every state drifts to the absorbing last one."""
+    m = np.tril(rng.random((n, n)) + 0.05)
+    return m / m.sum(axis=0)
+
+
+def _lazy_chain(n, gap):
+    """Two lazy cycles of n/2 states each; every step moves mass gap/2 to the
+    uniform law on the other cycle. The eigenvalues are 1, 1 - gap and
+    (1 - gap/2) times the cycles' own, so 1 - gap is the second largest."""
+    h = n // 2
+    cycle = 0.5 * np.eye(h) + 0.5 * np.roll(np.eye(h), 1, axis=0) if h > 1 else np.eye(1)
+    return (1.0 - gap / 2) * np.kron(np.eye(2), cycle) + \
+        (gap / 2) * np.kron(np.ones((2, 2)) - np.eye(2), np.full((h, h), 1.0 / h))
+
+
+def _stationary_oracle_cases():
+    rng = np.random.default_rng(41)
+    cases = [("one-state", np.ones((1, 1)))]
+    cases += [("ergodic", random_chain(rng, int(n))) for n in rng.integers(2, 40, 12)]
+    cases += [("reducible", _two_class_chain(rng, int(n), int(t)))
+              for n, t in zip(rng.integers(4, 40, 8), rng.integers(0, 3, 8))]
+    cases += [("reducible", np.eye(2)), ("reducible", _two_class_chain(rng, 243, 0))]
+    cases += [("periodic", _periodic_chain(rng, int(d * k), d))
+              for d in (2, 3, 4) for k in (1, 3, 17)]
+    cases += [("periodic", _periodic_chain(rng, 243, 3))]
+    cases += [("absorbing", _absorbing_chain(rng, int(n))) for n in (2, 5, 30)]
+    cases += [("absorbing", build_health_chain(HealthParams(model=model, population=pop))[0])
+              for model, pop in (("sir", 1), ("sir", 3), ("sir", 5), ("svir", 2))]
+    cases += [("lazy", _lazy_chain(n, gap)) for n in (2, 16, 64) for gap in (1e-3, 1e-6, 1e-8)]
+    return cases
+
+
+def test_stationary_certificate_matches_eigenvalue_count():
+    """Accept exactly the chains with one eigenvalue of modulus >= 1 - 1e-9,
+    and return pi bit for bit as the eigenvalue-count version did."""
+    verdicts = {}
+    for family, m in _stationary_oracle_cases():
+        accepted = int(np.sum(np.abs(np.linalg.eigvals(m)) >= 1.0 - 1e-9)) == 1
+        verdicts.setdefault(family, set()).add(accepted)
+        if accepted:
+            assert np.array_equal(stationary(m), stationary_eigvals_oracle(m)), family
+        else:
+            with pytest.raises(ValueError, match="multiple unit-magnitude eigenvalues"):
+                stationary(m)
+    assert verdicts == {"one-state": {True}, "ergodic": {True}, "reducible": {False},
+                        "periodic": {False}, "absorbing": {True}, "lazy": {True}}
 
 
 def test_from_transition_validates():

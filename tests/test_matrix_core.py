@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from stopcost.matrix_core import mat_pow, mat_vec, real_jordan, spectral_radius
+from stopcost.config import DEFAULT_TOLS
+from stopcost.matrix_core import _assemble, certify_stable, mat_pow, mat_vec, real_jordan, \
+    spectral_radius
 
 from helpers import random_stable
 
@@ -42,6 +44,93 @@ def test_spectral_radius_known_values():
     assert spectral_radius(np.diag([0.3, -0.8])) == pytest.approx(0.8)
     # rotation-scaling has complex eigenvalues of magnitude r
     assert spectral_radius(0.6 * rotation(37.0)) == pytest.approx(0.6, abs=1e-12)
+
+
+def _inf_norm(m):
+    return np.abs(m).sum(axis=1).max()
+
+
+def test_certify_stable_returns_least_halving_power():
+    rng = np.random.default_rng(43)
+    cases = [np.diag([0.5, -0.2]), np.array([[0.9]]), np.array([[0.5, 1.0], [0.0, 0.5]]),
+             0.999 * rotation(30.0), np.zeros((3, 3))]
+    cases += [random_stable(rng, int(n), rho_max=0.999) for n in rng.integers(1, 30, 20)]
+    for m in cases:
+        k = certify_stable(m)
+        assert _inf_norm(np.linalg.matrix_power(m, k)) <= 0.5
+        assert k == 1 or _inf_norm(np.linalg.matrix_power(m, k // 2)) > 0.5
+    assert certify_stable(np.array([[0.9]])) == 8
+    assert certify_stable(np.zeros((0, 0))) == 1
+
+
+def test_certify_stable_rejects_unit_and_overflowing_radius():
+    for m in (np.eye(3), np.array([[1.01]]), rotation(30.0), np.array([[-1.0, 1.0], [0.0, 0.5]]),
+              np.array([[2.0, 1e100], [0.0, 0.3]])):
+        with np.errstate(over="raise", invalid="raise"):
+            with pytest.raises(ValueError, match="spectral radius must be strictly below 1"):
+                certify_stable(m)
+    assert certify_stable(np.array([[1.0 - 1e-6]])) == 2 ** 20
+    with pytest.raises(ValueError, match="k <= 524288"):
+        certify_stable(np.array([[1.0 - 1e-6]]), max_k=2 ** 19)
+
+
+def test_certify_stable_needs_a_margin_below_one():
+    """Two closed classes: the reduced powers tend to a projector of norm exactly 1,
+    which rounding leaves under 1 at n = 243 (a `< 1` test accepted it at k = 1024)."""
+    rng = np.random.default_rng(1)
+    m = np.zeros((243, 243))
+    for lo, hi in ((0, 121), (121, 243)):
+        raw = rng.random((hi - lo, hi - lo))
+        m[lo:hi, lo:hi] = raw / raw.sum(axis=0)
+    a_op = np.tril(np.ones((242, 243)))
+    b_op = np.eye(243, 242) - np.eye(243, 242, -1)
+    with pytest.raises(ValueError, match="spectral radius must be strictly below 1"):
+        certify_stable(a_op @ m @ b_op)
+
+
+def _distinct_by_loops(lam, tol):
+    """The pairwise loops _assemble ran before its broadcast comparison."""
+    reals = [z for z in lam if abs(z.imag) <= tol]
+    pairs = [z for z in lam if z.imag > tol]
+    eigs = reals + pairs + [np.conj(z) for z in pairs]
+    mags = [abs(z.real) for z in reals] + [abs(z) for z in pairs]
+    return all(abs(x - y) >= tol for vals in (eigs, mags)
+               for i, x in enumerate(vals) for y in vals[i + 1:])
+
+
+def test_assemble_distinctness_matches_pairwise_loops():
+    """Near-ties within a few ulps of the tolerance, among real values, among
+    complex values, and between a real value and a pair's magnitude."""
+    rng = np.random.default_rng(47)
+    tol = DEFAULT_TOLS.eigen_distinct
+    grid = 2.0 ** -80                 # sums of these stay exact near 5e-9
+    spectra = []
+    for _ in range(200):
+        theta = rng.uniform(0.3, 1.3)
+        w1 = complex(*np.round(rng.uniform(3.2e-9, 3.9e-9) * np.array([np.cos(theta), np.sin(theta)]) / grid) * grid)
+        d = complex(*np.round(tol * np.array([np.cos(theta), np.sin(theta)]) / grid) * grid)
+        spectra.append([w1, w1 + d])  # radial step: |w1 - w2| within ulps of tol, magnitudes apart
+        w = rng.uniform(0.55, 0.95) * np.exp(1j * rng.uniform(0.1, 3.0))
+        base = np.nextafter(abs(w) + tol, 0.0)
+        x = float(rng.uniform(-0.5, 0.5))
+        far = [complex(rng.uniform(-0.2, 0.2)), 0.3 * np.exp(1j * rng.uniform(0.1, 3.0))]
+        for j in range(-3, 4):
+            near = base + j * np.spacing(base)
+            spectra.append([complex(near), w] + far)                          # |x| vs |w|
+            spectra.append([complex(x), complex(x + tol + j * np.spacing(tol))] + far)
+            spectra.append([w, w + tol * np.exp(1j * rng.uniform(0, 2 * np.pi)) * (1 + j * 1e-15)])
+    decisions = set()
+    for spec in spectra:
+        pairs = [z for z in spec if z.imag > tol]
+        lam = np.array(spec + [np.conj(z) for z in pairs])
+        vecs = rng.standard_normal((lam.size, lam.size)) + 1j * rng.standard_normal((lam.size, lam.size))
+        for i, z in enumerate(lam):
+            if z.imag < -tol:
+                vecs[:, i] = np.conj(vecs[:, spec.index(np.conj(z))])
+        distinct = _distinct_by_loops(list(lam), tol)
+        assert (_assemble(lam, vecs, 1.0, DEFAULT_TOLS) is not None) == distinct, spec
+        decisions.add(distinct)
+    assert decisions == {True, False}
 
 
 def test_real_jordan_reconstruction_random():

@@ -275,6 +275,16 @@ def test_compare_report_validation():
         compare_report(m, x0, c, [2], 0.1, seed=1.5)
     assert compare_report(m, x0, c, [2], 0.1, seed=True) == \
         compare_report(m, x0, c, [2], 0.1, seed=1)
+    with pytest.raises(ValueError, match="samples must be integers, got 2.7"):
+        compare_report(m, x0, c, [2.7, 3.9], 0.1, seed=0)
+    with pytest.raises(ValueError, match="samples must be integers, got 3.0"):
+        compare_report(m, x0, c, [2, 3.0], 0.1, seed=0)
+    with pytest.raises(ValueError, match="support_max must be an integer, got 4.9"):
+        compare_report(m, x0, c, [2, 3], 0.1, seed=0, support_max=4.9)
+    with pytest.raises(ValueError, match="support_max must be an integer, got 4.0"):
+        compare_report(m, x0, c, [2, 3], 0.1, seed=0, support_max=4.0)
+    assert compare_report(m, x0, c, np.array([2, 3]), 0.1, seed=0, support_max=np.int64(4)) == \
+        compare_report(m, x0, c, [2, 3], 0.1, seed=0, support_max=4)
     with pytest.raises(ValueError):
         compare_report(np.ones((2, 2)), x0, c, [2], 0.1, seed=0)
     with pytest.raises(ValueError):
