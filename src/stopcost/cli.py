@@ -28,7 +28,7 @@ import numpy as np
 from .finite_horizon import CostSequence, cost_sequence_naive, cost_sequence_strided, rce_finite
 from .infinite_horizon import decompose, geometric_drce, rce_infinite
 from .markov_gas import MarkovChain, project_state, to_gas, transfer_cost
-from .matrix_core import mat_pow
+from .matrix_core import certify_stable, mat_pow
 from .scenarios import CsocParams, HealthParams, build_csoc_overtime, \
     compare_report, health_person, sample_horizons
 from .wasserstein import AmbiguitySet, drce_finite
@@ -168,6 +168,7 @@ def cmd_drce(args) -> str:
 def _to_shifted(model: ModelFile) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
     """Strictly stable (matrix, cost, x0, offset) for unbounded-horizon work."""
     if model.kind == "gas":
+        certify_stable(model.matrix)   # a Markov file is certified in `stationary`
         return model.matrix, _require(model, "cost"), _require(model, "x0"), model.cost_offset
     chain = MarkovChain.from_transition(model.matrix)
     gas = to_gas(chain)

@@ -361,6 +361,9 @@ def rce_infinite(m, c, x, tols: Tolerances = DEFAULT_TOLS) -> RceInfResult:
     max_{r<=k} |(M^T)^r c|_1. g is scanned in blocks, tabulated rows c^T M^r times
     M^t x, until that bound is at most max(best, positive_floor * max(1, tail *
     |x|_inf)); with no g(t) above that floor the result is "supremum-at-infinity".
+    The `< 1` test can pass when rho(M) = 1 and the powers of M tend to a
+    projector of norm 1 that rounding leaves just under 1; the scan then never
+    ends, so such input is certified first (`certify_stable`), as the CLI does.
     """
     a, cv, xv = as_matrix(m), as_vector(c), as_vector(x)
     if a.shape[0] != a.shape[1] or cv.shape[0] != a.shape[0] or xv.shape[0] != a.shape[0]:

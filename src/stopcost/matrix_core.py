@@ -57,6 +57,9 @@ def mat_vec(m, v) -> np.ndarray:
 # when a strictly stable matrix is powered down to underflow.
 _SUBNORMAL_GUARD = 1e-140
 
+# certify_stable gives up once k = 2^j reaches this; see its docstring.
+_CERTIFY_MAX_K = 2 ** 36
+
 
 def mat_pow(m, k: int) -> np.ndarray:
     """m**k for integer k >= 0 by successive squaring (O(log k) multiplies).
@@ -89,24 +92,24 @@ def mat_pow(m, k: int) -> np.ndarray:
     return result
 
 
-def certify_stable(m, max_k: int = 2 ** 36) -> int:
+def certify_stable(m) -> int:
     """Least k = 2^j with |M^k|_inf <= 1/2, a certificate that rho(M) < 1.
 
     M is squared until the max row sum of |M^k| is at most 1/2, so rho(M)^k <=
     1/2; no eigensolver runs. The margin below 1 matters: a chain with two
     closed classes reduces to a matrix whose powers tend to a projector of
     norm exactly 1, which rounding can leave a hair under 1. Raises ValueError
-    once k reaches max_k or |M^k|_inf exceeds 1e150 (the next square could
-    overflow). With rho(M) = 1 - delta the least k is about ln(2C) / delta, C
-    the transient growth of the powers, so the default cap accepts gaps down
+    once k reaches _CERTIFY_MAX_K or |M^k|_inf exceeds 1e150 (the next square
+    could overflow). With rho(M) = 1 - delta the least k is about ln(2C) /
+    delta, C the transient growth of the powers, so the cap accepts gaps down
     to about 1.5e-11 * ln(2C), and a unit eigenvalue that rounding moved by
-    less than ln(2) / max_k = 1e-11 is still rejected.
+    less than ln(2) / _CERTIFY_MAX_K = 1e-11 is still rejected.
     """
     power, k = _square(m), 1
     if power.shape[0] == 0:
         return k
     while (norm := float(np.abs(power).sum(axis=1).max())) > 0.5:
-        if k >= max_k or norm > 1e150:
+        if k >= _CERTIFY_MAX_K or norm > 1e150:
             raise ValueError(f"spectral radius must be strictly below 1 (|M^k|_inf > 1/2, k <= {k})")
         power, k = power @ power, 2 * k
     return k

@@ -186,6 +186,31 @@ def test_rce_inf_markov_model_adds_offset(tmp_path, capsys):
         assert int(t_star) == int(np.argmax(direct[1:])) + 1
 
 
+def test_unbounded_ops_reject_unit_radius_gas_model(tmp_path, capsys, monkeypatch):
+    """A 243-state chain with two closed classes, reduced to gas form: its powers
+    tend to a norm-1 projector that rounding leaves under 1, on which rce_infinite's
+    own `< 1` test passes and its scan never ends. The model is rejected first."""
+    rng = np.random.default_rng(1)
+    m = np.zeros((243, 243))
+    for lo, hi in ((0, 121), (121, 243)):
+        raw = rng.random((hi - lo, hi - lo))
+        m[lo:hi, lo:hi] = raw / raw.sum(axis=0)
+    m_bar = np.tril(np.ones((242, 243))) @ m @ (np.eye(243, 242) - np.eye(243, 242, -1))
+    model = write_json(tmp_path / "two-class.json", {
+        "kind": "gas", "n": 242, "matrix": m_bar.ravel().tolist(),
+        "cost": rng.standard_normal(242).tolist(), "x0": rng.standard_normal(242).tolist()})
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a unit-radius model reached the unbounded solvers")
+
+    monkeypatch.setattr("stopcost.cli.rce_infinite", unreachable)
+    monkeypatch.setattr("stopcost.cli.decompose", unreachable)
+    for argv in (("rce-inf",), ("drce-geom", "--rho", "0.02", "--radius", "5")):
+        code, out, err = run_cli(capsys, *argv, "--model", model)
+        assert (code, out) == (2, "")
+        assert "spectral radius must be strictly below 1" in err
+
+
 def test_drce_geom_scalar(tmp_path, capsys):
     model = write_json(tmp_path / "scalar.json", SCALAR_GAS)
     code, out, err = run_cli(capsys, "drce-geom", "--model", model,

@@ -70,8 +70,9 @@ def test_certify_stable_rejects_unit_and_overflowing_radius():
             with pytest.raises(ValueError, match="spectral radius must be strictly below 1"):
                 certify_stable(m)
     assert certify_stable(np.array([[1.0 - 1e-6]])) == 2 ** 20
-    with pytest.raises(ValueError, match="k <= 524288"):
-        certify_stable(np.array([[1.0 - 1e-6]]), max_k=2 ** 19)
+    # rho = 1 - 1e-12 needs k ~ ln(2) * 1e12 > 2^36, the cap
+    with pytest.raises(ValueError, match=f"k <= {2 ** 36}"):
+        certify_stable(np.array([[1.0 - 1e-12]]))
 
 
 def test_certify_stable_needs_a_margin_below_one():
