@@ -14,6 +14,12 @@ finite scan. `rce_infinite` skips the expansion: once |M^k|_inf < 1, |g(t')| for
 t' > t is at most tail * |M^t x0|_inf, tail = max_{r<=k} |(M^T)^r c|_1, so it scans
 g until that falls to max(best, positive_floor * max(1, tail * |x0|_inf)). Angles
 are kept in degrees throughout this module's public types.
+
+The worst geometric stopping law has two routes. `geometric_drce` is the
+paper's: a truncated sum over the expansion, searched by projected gradient
+steps. `geometric_drce_exact`, which the CLI runs, needs neither the expansion
+nor truncation: the objective is the resolvent form rho c^T M (I - (1-rho) M)^{-1} x0,
+interpolated in Chebyshev form over the feasible rates and maximized globally.
 """
 from __future__ import annotations
 
@@ -22,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from numpy.polynomial import chebyshev
 
 from .config import DEFAULT_TOLS, Tolerances
 from .matrix_core import as_matrix, as_vector, certify_stable, real_jordan
@@ -440,19 +447,8 @@ def rce_infinite_2d(d: float, kappa: float, r: float, theta: float,
     return RceInfResult("attained", int(ts[best]), float(vals[best]))
 
 
-def geometric_drce(s: OscillatorySum, rho_hat: float, xi: float,
-                   eps: float) -> tuple[float, float, float]:
-    """Worst geometric stopping law within Wasserstein radius xi of Geom(rho_hat).
-
-    The Wasserstein-1 distance between geometric laws is |1/rho - 1/rho_hat|,
-    so the feasible success rates form an interval; the truncated objective
-    sum_{t<=n0} g(t) (1-rho)^{t-1} rho (truncation error below eps (1-rho)^n0)
-    is maximized by projected gradient ascent with 8 evenly spaced restarts of
-    up to 500 steps. A restart stops at its exact fixed point, where the
-    clipped step returns the same rho: every later step would repeat the same
-    comparison, so the result is bit-identical to running all 500 steps.
-    Returns (rho_star, value, truncation error bound).
-    """
+def _feasible_rates(rho_hat: float, xi: float, eps: float) -> tuple[float, float]:
+    """Validated [lo, hi]: the success rates rho with |1/rho - 1/rho_hat| <= xi."""
     if not math.isfinite(eps) or eps <= 0.0:
         raise ValueError(f"eps must be finite and positive, got {eps!r}")
     if not (0.0 < rho_hat < 1.0):
@@ -465,7 +461,28 @@ def geometric_drce(s: OscillatorySum, rho_hat: float, xi: float,
     lo = min(max(lo, 1e-12), 1.0 - 1e-12)
     if hi < lo:
         raise ValueError("empty feasible interval")
+    return lo, hi
 
+
+def geometric_drce(s: OscillatorySum, rho_hat: float, xi: float,
+                   eps: float) -> tuple[float, float, float]:
+    """Worst geometric stopping law within Wasserstein radius xi of Geom(rho_hat).
+
+    The paper's fixed-step search, kept for the library; the CLI runs
+    `geometric_drce_exact`. The Wasserstein-1 distance between geometric laws
+    is |1/rho - 1/rho_hat|, so the feasible success rates form an interval;
+    the truncated objective sum_{t<=n0} g(t) (1-rho)^{t-1} rho (truncation
+    error below eps (1-rho)^n0) is maximized by projected gradient ascent with
+    8 evenly spaced restarts of up to 500 steps. A restart stops at its exact
+    fixed point, where the clipped step returns the same rho: every later step
+    would repeat the same comparison, so the result is bit-identical to running
+    all 500 steps. The step is fixed at 0.1 (hi - lo), so near an interior
+    maximum a restart can creep or cycle for all 500 steps and stop short of
+    it: on a 64-state lazy cycle at (rho_hat, xi) = (0.5, 0.2) the value is
+    3.0e-7 below the true maximum while the reported bound is below 1e-9.
+    Returns (rho_star, value, truncation error bound).
+    """
+    lo, hi = _feasible_rates(rho_hat, xi, eps)
     n0 = find_n0(s, eps)
     ts = np.arange(1, n0 + 1, dtype=np.int64)
     g_vals = _eval_array(s, ts)
@@ -498,6 +515,139 @@ def geometric_drce(s: OscillatorySum, rho_hat: float, xi: float,
         if val > best_val + 1e-15 or (abs(val - best_val) <= 1e-15 and rho < best_rho):
             best_rho, best_val = rho, val
     return best_rho, best_val, float(eps * (1.0 - best_rho) ** n0)
+
+
+_CHEB_START = 16             # first interpolation degree: 17 Chebyshev-Lobatto nodes
+_CHEB_MAX_DEGREE = 1024      # the degree doubles up to this: at most 1,025 direct solves
+_ROUNDING = 64 * np.finfo(float).eps    # coefficients under this times max(1, max|F|) are noise
+
+
+def _lobatto_coefficients(vals: np.ndarray) -> np.ndarray:
+    """Chebyshev coefficients of the interpolant through vals[j] at cos(j pi / N).
+
+    A type-I discrete cosine transform, taken as the real FFT of the even extension.
+    """
+    n = vals.shape[0] - 1
+    coef = np.fft.rfft(np.concatenate([vals, vals[-2:0:-1]])).real / n
+    coef[0] /= 2.0
+    coef[n] /= 2.0
+    return coef
+
+
+def _falling_zero(d: np.ndarray, u: float, v: float) -> float:
+    """Zero of the Chebyshev series d, positive at u and not at v, bracketed by
+    64-way sections down to adjacent floats; d must be monotone on [u, v]."""
+    while True:
+        xs = np.linspace(u, v, 65)
+        i = int(np.flatnonzero(chebyshev.chebval(xs, d) <= 0.0)[0]) - 1
+        if xs[i + 1] - xs[i] >= v - u:
+            return 0.5 * (u + v)
+        u, v = xs[i], xs[i + 1]
+
+
+def _interior_maxima(coef: np.ndarray, noise: float) -> list[float]:
+    """Ascending points of (-1, 1) where the derivative of the Chebyshev series
+    `coef` falls through zero: the interior local maxima of the series.
+
+    No eigensolver runs: [-1, 1] is bisected, and on each piece the derivative
+    is re-expanded in Chebyshev form b. A piece is dropped when |b_0| exceeds
+    sum_{k>=1} |b_k| (the derivative keeps its sign there); when |b_1| exceeds
+    sum_{k>=2} k^2 |b_k|, the derivative is monotone there and a sign change
+    from + to - is bracketed down to adjacent floats. A piece over which the
+    series can move by at most `noise` is not split further; its midpoint is
+    kept as a candidate.
+    """
+    d = chebyshev.chebder(coef)
+    nodes = np.cos(np.pi * np.arange(d.shape[0]) / (d.shape[0] - 1))
+    weights = np.arange(2.0, d.shape[0]) ** 2
+    found, stack = [], [(-1.0, 1.0, d)]
+    while stack:
+        u, v, b = stack.pop()
+        rest = float(np.abs(b[1:]).sum())
+        if abs(b[0]) > rest + 1e-12 * (abs(b[0]) + rest):
+            continue
+        if abs(b[1]) > float(weights @ np.abs(b[2:])):
+            left, right = chebyshev.chebval(np.array([u, v]), d)
+            if left > 0.0 >= right:
+                found.append(_falling_zero(d, u, v))
+            continue
+        mid = 0.5 * (u + v)
+        if (v - u) * (abs(b[0]) + rest) <= noise or not u < mid < v:
+            found.append(mid)
+            continue
+        for lo, hi in ((mid, v), (u, mid)):
+            stack.append((lo, hi, _lobatto_coefficients(
+                chebyshev.chebval(0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes, d))))
+    return sorted(found)
+
+
+def geometric_drce_exact(m, c, x, rho_hat: float, xi: float,
+                         eps: float) -> tuple[float, float, float]:
+    """Worst geometric stopping law within Wasserstein radius xi of Geom(rho_hat),
+    by the exact resolvent: a global maximum with no truncation and no eigensolver.
+
+    M must have spectral radius below 1 (`certify_stable`; the CLI certifies it).
+    The objective sum_t rho (1-rho)^{t-1} <c, M^t x> is the generating function
+    of the cost at 1 - rho, F(rho) = rho c^T M (I - (1-rho) M)^{-1} x, evaluated
+    by one direct solve per rho. F is interpolated at Chebyshev-Lobatto nodes on
+    the feasible interval [lo, hi], starting from degree 16 and doubling (the
+    nodes nest) until the top quarter of the Chebyshev coefficients is at most
+    eps max(1, max|F|); past degree _CHEB_MAX_DEGREE a RuntimeError is raised.
+    The maximum is the best of lo, hi and the interior maxima of the
+    interpolant (`_interior_maxima`), each re-evaluated by a direct solve; ties
+    go to the smaller rho. For a Markov chain, pass its shifted form (`to_gas`)
+    and add the cost offset to the value: the weights sum to 1. Returns
+    (rho_star, value, tail): the tail is that top-quarter coefficient size, an
+    estimate of the interpolation error, never below _ROUNDING max(1, max|F|),
+    so eps must be at least _ROUNDING.
+    """
+    lo, hi = _feasible_rates(rho_hat, xi, eps)
+    if eps < _ROUNDING:
+        raise ValueError(f"eps must be at least {_ROUNDING:.3g}, the rounding level of "
+                         f"the interpolated values, got {eps!r}")
+    a, cv, xv = as_matrix(m), as_vector(c), as_vector(x)
+    if a.shape[0] != a.shape[1] or cv.shape[0] != a.shape[0] or xv.shape[0] != a.shape[0]:
+        raise ValueError("dimension mismatch between matrix, cost, and state")
+    mx = a @ xv
+
+    def objective(rho: float) -> float:
+        lhs = (rho - 1.0) * a
+        lhs.flat[::a.shape[0] + 1] += 1.0
+        return rho * float(cv @ np.linalg.solve(lhs, mx))
+
+    if hi == lo:
+        return lo, objective(lo), 0.0
+    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
+
+    def objectives(nodes: np.ndarray) -> np.ndarray:
+        return np.array([objective(rho) for rho in mid + half * nodes])
+
+    deg = _CHEB_START
+    nodes = np.cos(np.pi * np.arange(deg + 1) / deg)
+    vals = np.array([objective(hi), *objectives(nodes[1:-1]), objective(lo)])
+    while True:
+        if not np.isfinite(vals).all():
+            raise RuntimeError("the resolvent objective is not finite on the feasible "
+                               "interval: the matrix is not strictly stable")
+        coef = _lobatto_coefficients(vals)
+        scale = max(1.0, float(np.abs(vals).max()))
+        tail = max(float(np.abs(coef[3 * deg // 4:]).max()), _ROUNDING * scale)
+        if tail <= eps * scale:
+            break
+        if deg >= _CHEB_MAX_DEGREE:
+            raise RuntimeError(f"Chebyshev tail {tail:.3g} still above eps * max(1, max|F|) = "
+                               f"{eps * scale:.3g} at degree {deg} on rates "
+                               f"[{lo:.6g}, {hi:.6g}]")
+        finer = np.empty(2 * deg + 1)
+        finer[::2] = vals
+        finer[1::2] = objectives(np.cos(np.pi * np.arange(1, 2 * deg, 2) / (2 * deg)))
+        vals, deg = finer, 2 * deg
+
+    inner = [mid + half * s for s in _interior_maxima(coef, _ROUNDING * scale)]
+    rhos = [lo, *inner, hi]
+    values = [float(vals[-1]), *(objective(rho) for rho in inner), float(vals[0])]
+    best = int(np.argmax(values))          # the first maximum: ties go to the smaller rho
+    return rhos[best], values[best], tail
 
 
 def adversarial_instance(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

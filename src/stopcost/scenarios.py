@@ -286,8 +286,9 @@ def _as_int(value, requirement: str) -> int:
 
 def sample_horizons(lo: int, hi: int, mean: int, k: int, seed: int) -> list[int]:
     """k i.i.d. stopping times from a discretized triangular law on [lo, hi]
-    with mode at mean, reproducible under the seed."""
-    lo, hi, mean, k = int(lo), int(hi), int(mean), int(k)
+    with mode at mean, reproducible under the seed. Floats are rejected, not truncated."""
+    lo, hi, mean, k = (_as_int(value, f"{name} must be an integer")
+                       for name, value in (("lo", lo), ("hi", hi), ("mean", mean), ("samples", k)))
     if not (1 <= lo <= mean <= hi):
         raise ValueError("need 1 <= lo <= mean <= hi")
     if k < 1:

@@ -233,6 +233,22 @@ def geometric_drce_oracle(s, rho_hat, xi, eps, fixed_steps=None):
     return best_rho, best_val, float(eps * (1.0 - best_rho) ** n0)
 
 
+
+def geometric_grid_oracle(m, c, x0, rhos):
+    """sum_t rho (1-rho)^(t-1) <c, M^t x0> for each rho in `rhos`, by the plain
+    recurrence on (M, c, x0) until (1 - min rho)^t drops below 1e-16."""
+    rhos = np.asarray(rhos, dtype=float)
+    low = float(rhos.min())
+    horizon = 1 if low == 1.0 else math.ceil(math.log(1e-16) / math.log1p(-low)) + 1
+    g, state = np.empty(horizon), np.asarray(x0, dtype=float)
+    for t in range(horizon):
+        state = m @ state
+        g[t] = c @ state
+    acc, q = np.zeros(rhos.shape[0]), 1.0 - rhos
+    for value in g[::-1]:                        # Horner in q = 1 - rho
+        acc = acc * q + value
+    return rhos * acc
+
 def exact_cost_values(a, q, c, x, horizon):
     """g(t) = <c, M^t x> for t = 1..horizon as exact Fractions, where M = a / q.
 

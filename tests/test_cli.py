@@ -10,14 +10,13 @@ import pytest
 import scipy.linalg
 
 import stopcost
-import stopcost.matrix_core
 from stopcost.cli import main
 from stopcost.finite_horizon import CostSequence, cost_sequence_naive
 from stopcost.scenarios import ComparisonReport, CsocParams, HealthParams, build_csoc_overtime, \
     build_health_chain
 from stopcost.wasserstein import AmbiguitySet, drce_finite
 
-from helpers import lazy_cycle
+from helpers import geometric_grid_oracle, lazy_cycle
 
 TWO_STATE = {
     "kind": "markov", "n": 2,
@@ -204,7 +203,7 @@ def test_unbounded_ops_reject_unit_radius_gas_model(tmp_path, capsys, monkeypatc
         raise AssertionError("a unit-radius model reached the unbounded solvers")
 
     monkeypatch.setattr("stopcost.cli.rce_infinite", unreachable)
-    monkeypatch.setattr("stopcost.cli.decompose", unreachable)
+    monkeypatch.setattr("stopcost.cli.geometric_drce_exact", unreachable)
     for argv in (("rce-inf",), ("drce-geom", "--rho", "0.02", "--radius", "5")):
         code, out, err = run_cli(capsys, *argv, "--model", model)
         assert (code, out) == (2, "")
@@ -226,13 +225,15 @@ def test_drce_geom_scalar(tmp_path, capsys):
 
 # Rows printed before the optimizer stopped restarts at their fixed points and
 # the first-positive scan grew its windows; both must leave them byte for byte.
+# drce-geom's third column is the Chebyshev tail estimate since it moved to the
+# exact resolvent: here the rounding floor, 64 ulps of max(1, max|F|) = 1.
 UNBOUNDED_GOLDEN_ROWS = {
     (32, "rce-inf"): "attained,8,0.492856287829",
-    (32, "drce-geom"): "0.0181818181818,0.429817201252,4.48997732853e-21",
+    (32, "drce-geom"): "0.0181818181818,0.429817201252,1.42108547152e-14",
     (64, "rce-inf"): "attained,2,0.740580638173",
-    (64, "drce-geom"): "0.0222222222222,0.581953873953,2.85962543072e-28",
+    (64, "drce-geom"): "0.0222222222222,0.581953873953,1.42108547152e-14",
     (128, "rce-inf"): "attained,16,0.639555691547",
-    (128, "drce-geom"): "0.0222222222222,0.534834229929,2.8545818907e-30",
+    (128, "drce-geom"): "0.0222222222222,0.534834229929,1.42108547152e-14",
 }
 
 
@@ -258,6 +259,15 @@ def test_drce_geom_rejects_nonfinite_radius_and_eps(tmp_path, capsys):
         assert code == 2 and out == "" and name in err, (radius, eps, err)
 
 
+def test_drce_geom_exits_1_when_the_interpolant_needs_more_nodes(tmp_path, capsys, monkeypatch):
+    model, _ = _lazy_cycle_files(tmp_path)
+    argv = ("drce-geom", "--model", model, "--rho", "0.5", "--radius", "2")
+    assert run_cli(capsys, *argv)[0] == 0          # degree 32 on [0.25, 1]
+    monkeypatch.setattr("stopcost.infinite_horizon._CHEB_MAX_DEGREE", 16)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "") and "Chebyshev tail" in err and "degree 16" in err
+
+
 EIGENSOLVERS = [(np.linalg, "eig"), (np.linalg, "eigvals"),
                 (scipy.linalg, "eig"), (scipy.linalg, "eigvals"), (scipy.linalg, "schur")]
 
@@ -273,10 +283,14 @@ def _lazy_cycle_files(tmp_path, n=48):
 
 
 def test_markov_ops_run_no_eigensolver(tmp_path, capsys, monkeypatch):
-    """Stability of a Markov file is certified by squaring: rce-inf, convert,
-    rce and drce answer as before with every eigensolver disabled."""
+    """Stability of a Markov file is certified by squaring, and drce-geom runs on
+    direct solves: rce-inf, drce-geom, convert, rce and drce answer as before
+    with every eigensolver disabled."""
     model, nominal = _lazy_cycle_files(tmp_path)
-    runs = [("rce-inf", "--model", model), ("convert", "--model", model),
+    runs = [("rce-inf", "--model", model),
+            ("drce-geom", "--model", model, "--rho", "0.02", "--radius", "5"),
+            ("drce-geom", "--model", model, "--rho", "0.5", "--radius", "0.2"),
+            ("convert", "--model", model),
             ("rce", "--model", model, "--horizon", "300"),
             ("drce", "--model", model, "--nominal", nominal, "--radius", "0.5")]
     expected = [run_cli(capsys, *argv) for argv in runs]
@@ -288,29 +302,6 @@ def test_markov_ops_run_no_eigensolver(tmp_path, capsys, monkeypatch):
     for module, name in EIGENSOLVERS:
         monkeypatch.setattr(module, name, forbidden)
     assert [run_cli(capsys, *argv) for argv in runs] == expected
-
-
-def test_drce_geom_eigensolves_only_in_real_jordan(tmp_path, capsys, monkeypatch):
-    model, _ = _lazy_cycle_files(tmp_path)
-    argv = ("drce-geom", "--model", model, "--rho", "0.02", "--radius", "5")
-    expected = run_cli(capsys, *argv)
-    assert expected[0] == 0, expected[2]
-    callers = []
-    eig = np.linalg.eig
-
-    def traced(*args, **kwargs):
-        frame = sys._getframe(1)
-        callers.append((frame.f_code.co_name, frame.f_globals["__name__"]))
-        return eig(*args, **kwargs)
-
-    def forbidden(*args, **kwargs):
-        raise AssertionError("drce-geom reached an eigensolver outside real_jordan")
-
-    for module, name in EIGENSOLVERS:
-        monkeypatch.setattr(module, name, forbidden)
-    monkeypatch.setattr(np.linalg, "eig", traced)
-    assert run_cli(capsys, *argv) == expected
-    assert callers and set(callers) == {("real_jordan", stopcost.matrix_core.__name__)}
 
 
 PACKAGED_MODELS = {
@@ -344,6 +335,35 @@ def test_rce_inf_answers_packaged_models(label, tmp_path, capsys):
         assert kind == "supremum-at-infinity" and t_star == ""
         assert direct.max() <= float(value) + 1e-9 * scale
         assert float(value) == pytest.approx(direct[-1], abs=1e-9 * scale)
+
+
+# Worst rates and values at (rho_hat, xi) = (0.02, 5), where real_jordan gave up
+PACKAGED_DRCE_GEOM = {
+    "csoc-cap10": "0.0222222222222,0.209432000114",
+    "csoc-cap100": "0.0222222222222,0.38326877597",
+    "sir-pop5": "0.0222222222222,0.89282433773",
+    "svir-pop3": "0.0222222222222,0.435674185632",
+}
+
+
+@pytest.mark.parametrize("label", sorted(PACKAGED_MODELS))
+def test_drce_geom_answers_packaged_models(label, tmp_path, capsys):
+    m, x0, c = PACKAGED_MODELS[label]()
+    model = write_json(tmp_path / "model.json", {"kind": "markov", "n": m.shape[0],
+                                                  "matrix": m.ravel().tolist(),
+                                                  "cost": c.tolist(), "x0": x0.tolist()})
+    code, out, err = run_cli(capsys, "drce-geom", "--model", model,
+                             "--rho", "0.02", "--radius", "5")
+    assert code == 0, err
+    header, row, _ = out.split("\n")
+    assert header == "rho_star,value,truncation_bound"
+    rho_star, value, tail = row.split(",")
+    assert f"{rho_star},{value}" == PACKAGED_DRCE_GEOM[label]
+    assert 0.0 < float(tail) <= 1e-9
+    grid = geometric_grid_oracle(m, c, x0, np.linspace(0.02 / 1.1, 0.02 / 0.9, 4001))
+    scale = max(1.0, float(np.abs(c).max()))
+    assert float(value) >= grid.max() - 1e-12 * scale
+    assert float(value) == pytest.approx(grid[-1], abs=1e-12 * scale)
 
 
 # ----------------------------------------------------- scenarios and bench ---

@@ -19,6 +19,7 @@ from stopcost.infinite_horizon import (
     find_n0,
     find_t0,
     geometric_drce,
+    geometric_drce_exact,
     rce_infinite,
     rce_infinite_2d,
     RceInfResult,
@@ -26,8 +27,8 @@ from stopcost.infinite_horizon import (
 from stopcost.markov_gas import MarkovChain, project_state, to_gas, transfer_cost
 from stopcost.matrix_core import mat_pow
 
-from helpers import (exact_cost_values, geometric_drce_oracle, lazy_cycle, oscillatory_values,
-                     random_stable)
+from helpers import (exact_cost_values, geometric_drce_oracle, geometric_grid_oracle, lazy_cycle,
+                     oscillatory_values, random_stable)
 
 DIAG = np.diag([0.9, -0.5])
 ONES = np.array([1.0, 1.0])
@@ -655,3 +656,131 @@ def test_geometric_drce_equals_full_search_at_interior_fixed_points():
         (rho_star, _, _), fixed_steps = assert_matches_full_search(s, 0.3, 0.5)
         assert None not in fixed_steps
         assert lo < rho_star < hi
+
+
+# --------------------------------------------- geometric drce by the resolvent ---
+
+def feasible_rates(rho_hat, xi):
+    lo = rho_hat / (1.0 + rho_hat * xi)
+    return lo, 1.0 if rho_hat * xi >= 1.0 else min(1.0, rho_hat / (1.0 - rho_hat * xi))
+
+
+def assert_beats_grid(system, rho_hat, xi, chain=None, offset=0.0, eps=1e-9):
+    """geometric_drce_exact on `system` = (M, c, x) against 4,001 rates of the
+    plain recurrence on `chain` (default: the system itself). Returns the value,
+    offset added, and the oracle's scale."""
+    rho_star, value, tail = geometric_drce_exact(*system, rho_hat, xi, eps)
+    value += offset
+    lo, hi = feasible_rates(rho_hat, xi)
+    grid = geometric_grid_oracle(*(chain or system), np.linspace(lo, hi, 4001))
+    scale = max(1.0, float(np.abs(grid).max()))
+    assert lo <= rho_star <= hi
+    assert value >= grid.max() - 1e-12 * scale, (rho_hat, xi, value - grid.max())
+    at_rho = geometric_grid_oracle(*(chain or system), [rho_star])[0]
+    assert value == pytest.approx(at_rho, abs=1e-12 * scale)
+    assert 0.0 <= tail <= eps * scale
+    if lo == hi:
+        assert (rho_star, tail) == (lo, 0.0)
+    return value, scale
+
+
+def test_geometric_drce_exact_scalar_fixture():
+    # F(rho) = rho / (1 + rho) rises on [0.4, 2/3]
+    rho_star, value, tail = geometric_drce_exact([[0.5]], [1.0], [1.0], 0.5, 0.5, 1e-9)
+    assert rho_star == pytest.approx(2.0 / 3.0, abs=1e-15)
+    assert value == pytest.approx(0.4, abs=1e-15)
+    assert 0.0 <= tail <= 1e-9
+    # F = 0 on all of [0.4, 2/3]: ties go to the smallest rate
+    rho_star, value, _ = geometric_drce_exact([[0.5]], [0.0], [1.0], 0.5, 0.5, 1e-9)
+    assert (rho_star, value) == (0.5 / 1.25, 0.0)
+
+
+def test_geometric_drce_exact_beats_grid_and_search_on_random_systems():
+    """xi = 0 (one rate), a random radius, and rho_hat * xi >= 1 (hi = 1), each at
+    rho_hat in {0.02, 0.3, 0.5}; where decompose succeeds the paper's search
+    agrees to 1e-9 of the oracle's scale."""
+    rng = np.random.default_rng(367)
+    compared = 0
+    for i in range(54):
+        n = int(rng.integers(1, 13))
+        system = random_stable(rng, n), rng.standard_normal(n), rng.standard_normal(n)
+        rho_hat = (0.02, 0.3, 0.5)[i % 3]
+        xi = (0.0, float(rng.uniform(0.0, 2.0)), float(rng.uniform(1.0, 4.0)) / rho_hat)[i // 3 % 3]
+        value, scale = assert_beats_grid(system, rho_hat, xi)
+        try:
+            s = decompose(*system)
+        except RuntimeError:
+            continue
+        compared += 1
+        assert value == pytest.approx(geometric_drce(s, rho_hat, xi, 1e-9)[1], abs=1e-9 * scale)
+    assert compared >= 50
+
+
+@pytest.mark.parametrize("n", [32, 64, 128])
+def test_geometric_drce_exact_beats_grid_on_lazy_cycles(n):
+    m, c, x0 = lazy_cycle(np.random.default_rng(5 + n), n)
+    gas = to_gas(MarkovChain.from_transition(m))
+    cost, offset = transfer_cost(gas, c)
+    system = gas.m_bar, cost, project_state(gas, x0)
+    s = decompose(*system)
+    for rho_hat, xi in ((0.02, 5.0), (0.3, 0.0), (0.5, 2.0), (0.02, 60.0)):
+        value, scale = assert_beats_grid(system, rho_hat, xi, (m, c, x0), offset)
+        if (rho_hat, xi) in ((0.02, 5.0), (0.3, 0.0)):    # where the search is quick
+            assert value >= geometric_drce(s, rho_hat, xi, 1e-9)[1] + offset - 1e-9 * scale
+
+
+def test_geometric_drce_exact_finds_the_interior_maximum_the_search_misses():
+    """On this chain the fixed-step search never settles and stops 3.0e-7 short
+    (0.704345566994 at rho = 0.545667, with a reported bound below 1e-9)."""
+    m, c, x0 = lazy_cycle(np.random.default_rng(69), 64)
+    gas = to_gas(MarkovChain.from_transition(m))
+    cost, offset = transfer_cost(gas, c)
+    system = gas.m_bar, cost, project_state(gas, x0)
+    value, _ = assert_beats_grid(system, 0.5, 0.2, (m, c, x0), offset)
+    rho_star, _, _ = geometric_drce_exact(*system, 0.5, 0.2, 1e-9)
+    assert f"{value:.12g}" == "0.704345871393"
+    assert rho_star == pytest.approx(0.547155, abs=1e-6)
+    assert value - 0.704345566994 > 3e-7
+
+
+def test_geometric_drce_exact_validation(monkeypatch):
+    one = ([[0.5]], [1.0], [1.0])
+    with pytest.raises(ValueError, match="eps"):
+        geometric_drce_exact(*one, 0.5, 0.5, 0.0)
+    with pytest.raises(ValueError, match="rho_hat"):
+        geometric_drce_exact(*one, 1.5, 0.5, 1e-6)
+    with pytest.raises(ValueError, match="radius"):
+        geometric_drce_exact(*one, 0.5, -0.1, 1e-6)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="radius"):
+            geometric_drce_exact(*one, 0.5, bad, 1e-6)
+        with pytest.raises(ValueError, match="eps"):
+            geometric_drce_exact(*one, 0.5, 0.5, bad)
+    with pytest.raises(ValueError, match="rounding level"):
+        geometric_drce_exact(*one, 0.5, 0.5, 1e-15)
+    with pytest.raises(ValueError, match="dimension"):
+        geometric_drce_exact([[0.5]], [1.0, 0.0], [1.0], 0.5, 0.5, 1e-6)
+    # the 32-state cycle needs degree 32 on [0.25, 1]; with the cap at 16 it gives up
+    m, c, x0 = lazy_cycle(np.random.default_rng(37), 32)
+    gas = to_gas(MarkovChain.from_transition(m))
+    cost, _ = transfer_cost(gas, c)
+    system = gas.m_bar, cost, project_state(gas, x0)
+    geometric_drce_exact(*system, 0.5, 2.0, 1e-9)
+    monkeypatch.setattr(infinite_horizon, "_CHEB_MAX_DEGREE", 16)
+    with pytest.raises(RuntimeError, match="Chebyshev tail .* at degree 16"):
+        geometric_drce_exact(*system, 0.5, 2.0, 1e-9)
+
+
+def test_interior_maxima_match_the_colleague_matrix_roots():
+    """Falling zeros of the derivative against numpy's colleague-matrix roots,
+    on random series with decaying coefficients of degree 16 to 128."""
+    rng = np.random.default_rng(373)
+    for deg in (16, 16, 32, 64, 128):
+        coef = rng.standard_normal(deg + 1) * 0.7 ** np.arange(deg + 1)
+        d = np.polynomial.chebyshev.chebder(coef)
+        roots = np.polynomial.chebyshev.chebroots(d)
+        roots = np.sort(roots[(np.abs(roots.imag) < 1e-12) & (np.abs(roots.real) < 1.0)].real)
+        falling = [r for r in roots
+                   if np.polynomial.chebyshev.chebval(r, np.polynomial.chebyshev.chebder(d)) < 0.0]
+        got = infinite_horizon._interior_maxima(coef, 1e-14)
+        assert got == pytest.approx(falling, abs=1e-9), deg

@@ -193,6 +193,13 @@ def test_sample_horizons_validation():
     with pytest.raises(ValueError, match="seed must be a non-negative integer, got 1.5"):
         sample_horizons(1, 10, 5, 4, 1.5)
     assert sample_horizons(1, 10, 5, 4, True) == sample_horizons(1, 10, 5, 4, 1)
+    # floats were truncated: (1.9, 15.5, 8.2, 4.7) drew as (1, 15, 8, 4)
+    for i, name in enumerate(("lo", "hi", "mean", "samples")):
+        args = [1, 15, 8, 4]
+        args[i] = (1.9, 15.5, 8.2, 4.7)[i]
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {args[i]}"):
+            sample_horizons(*args, 0)
+    assert sample_horizons(*np.array([1, 15, 8, 4]), np.int64(0)) == sample_horizons(1, 15, 8, 4, 0)
 
 
 # --------------------------------------------------------- compare_report ---
