@@ -283,14 +283,10 @@ def _lazy_cycle_files(tmp_path, n=48):
 
 
 def test_markov_ops_run_no_eigensolver(tmp_path, capsys, monkeypatch):
-    """Stability of a Markov file is certified by squaring, and drce-geom runs on
-    direct solves: rce-inf, drce-geom, convert, rce and drce answer as before
-    with every eigensolver disabled."""
+    """Stability of a Markov file is certified by squaring: rce-inf, convert,
+    rce and drce answer as before with every eigensolver disabled."""
     model, nominal = _lazy_cycle_files(tmp_path)
-    runs = [("rce-inf", "--model", model),
-            ("drce-geom", "--model", model, "--rho", "0.02", "--radius", "5"),
-            ("drce-geom", "--model", model, "--rho", "0.5", "--radius", "0.2"),
-            ("convert", "--model", model),
+    runs = [("rce-inf", "--model", model), ("convert", "--model", model),
             ("rce", "--model", model, "--horizon", "300"),
             ("drce", "--model", model, "--nominal", nominal, "--radius", "0.5")]
     expected = [run_cli(capsys, *argv) for argv in runs]
@@ -302,6 +298,34 @@ def test_markov_ops_run_no_eigensolver(tmp_path, capsys, monkeypatch):
     for module, name in EIGENSOLVERS:
         monkeypatch.setattr(module, name, forbidden)
     assert [run_cli(capsys, *argv) for argv in runs] == expected
+
+
+def test_drce_geom_eigensolves_only_in_real_jordan(tmp_path, capsys, monkeypatch):
+    """drce-geom runs on direct solves of the resolvent: it answers as before with
+    every eigensolver disabled, and np.linalg.eig is never reached, not even
+    through real_jordan."""
+    model, _ = _lazy_cycle_files(tmp_path)
+    runs = [("drce-geom", "--model", model, "--rho", "0.02", "--radius", "5"),
+            ("drce-geom", "--model", model, "--rho", "0.5", "--radius", "0.2")]
+    expected = [run_cli(capsys, *argv) for argv in runs]
+    assert all(code == 0 for code, _, _ in expected), expected
+    callers = []
+    eig = np.linalg.eig
+
+    def traced(*args, **kwargs):
+        frame = sys._getframe(1)
+        callers.append((frame.f_code.co_name, frame.f_globals["__name__"]))
+        return eig(*args, **kwargs)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("drce-geom reached an eigensolver outside real_jordan")
+
+    for module, name in EIGENSOLVERS:
+        monkeypatch.setattr(module, name, forbidden)
+    monkeypatch.setattr(np.linalg, "eig", traced)
+    assert [run_cli(capsys, *argv) for argv in runs] == expected
+    assert set(callers) <= {("real_jordan", stopcost.matrix_core.__name__)}
+    assert callers == []
 
 
 PACKAGED_MODELS = {
