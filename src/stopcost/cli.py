@@ -262,6 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="stopcost",
         description="Robust cost estimation for linear systems with uncertain stopping times.")
     sub = parser.add_subparsers(dest="command", required=True)
+    algo_help = ("cost-sequence evaluator: the naive recurrence or the square-root "
+                 "stride scheme (default); they agree up to rounding, not bit for bit")
 
     convert = sub.add_parser("convert", help="rewrite a Markov model in mean-shifted coordinates")
     convert.add_argument("--model", required=True, help="input markov model JSON")
@@ -271,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     rce = sub.add_parser("rce", help="best single stopping time over a finite horizon")
     rce.add_argument("--model", required=True)
     rce.add_argument("--horizon", type=int, required=True)
-    rce.add_argument("--algo", choices=("naive", "sabs"), default="sabs")
+    rce.add_argument("--algo", choices=("naive", "sabs"), default="sabs", help=algo_help)
     rce.add_argument("--out")
     rce.set_defaults(run=cmd_rce)
 
@@ -279,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     drce.add_argument("--model", required=True)
     drce.add_argument("--nominal", required=True, help="two-column CSV (t, probability)")
     drce.add_argument("--radius", type=float, required=True)
-    drce.add_argument("--algo", choices=("naive", "sabs"), default="sabs")
+    drce.add_argument("--algo", choices=("naive", "sabs"), default="sabs", help=algo_help)
     drce.add_argument("--out")
     drce.set_defaults(run=cmd_drce)
 

@@ -1,10 +1,11 @@
 """Cost trajectories <c, M^t x0> over a finite horizon.
 
-Two evaluators produce identical sequences: a naive O(n^2 T) recurrence, and a
-square-root stride scheme that precomputes M^B (B = floor(sqrt T)) by repeated
-squaring, the B forward states M^{iB} x0 and the B backward costs (M^T)^j c,
-then reads each <c, M^t x0> for t <= B^2 off a single inner product, finishing
-any tail t > B^2 sequentially.
+Two evaluators produce the same sequence up to rounding: a naive O(n^2 T)
+recurrence, and a square-root stride scheme that precomputes M^B
+(B = floor(sqrt T)) by repeated squaring, the B forward states M^{iB} x0 and
+the B backward costs (M^T)^j c, then reads each <c, M^t x0> for t <= B^2 off a
+single inner product, finishing any tail t > B^2 sequentially. They multiply
+in a different order, so their values usually differ in the last bits.
 """
 from __future__ import annotations
 
@@ -57,7 +58,7 @@ def cost_sequence_naive(m, x0, c, horizon: int) -> CostSequence:
 
 
 def cost_sequence_strided(m, x0, c, horizon: int) -> CostSequence:
-    """Square-root stride evaluator; identical values, fewer passes for large T."""
+    """Square-root stride evaluator; naive values up to rounding, fewer passes for large T."""
     a, x, cv = _check(m, x0, c, horizon)
     horizon = int(horizon)
     if horizon < 4:                      # stride buys nothing below B = 2

@@ -30,7 +30,7 @@ from fractions import Fraction
 import numpy as np
 from numpy.polynomial import chebyshev
 
-from .config import DEFAULT_TOLS, Tolerances
+from .config import DEFAULT_TOLS
 from .matrix_core import as_matrix, as_vector, certify_stable, real_jordan
 
 
@@ -94,28 +94,32 @@ class RceInfResult:
     value: float
 
 
-def _rationalize(theta: float, tols: Tolerances) -> tuple[int, int] | None:
-    frac = Fraction(theta).limit_denominator(tols.rational_cap)
+def _rationalize(theta: float) -> tuple[int, int] | None:
+    frac = Fraction(theta).limit_denominator(DEFAULT_TOLS.rational_cap)
     if frac <= 0:
         return None
-    if abs(float(frac) - theta) <= tols.rational_err:
+    if abs(float(frac) - theta) <= DEFAULT_TOLS.rational_err:
         return int(frac.numerator), int(frac.denominator)
     return None
 
 
-def decompose(m, c, x, tols: Tolerances = DEFAULT_TOLS) -> OscillatorySum:
+def _system(m, c, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coerce (M, c, x0) to arrays and check that their dimensions agree."""
+    a, cv, xv = as_matrix(m), as_vector(c), as_vector(x)
+    if a.shape[0] != a.shape[1] or cv.shape[0] != a.shape[0] or xv.shape[0] != a.shape[0]:
+        raise ValueError("dimension mismatch between matrix, cost, and state")
+    return a, cv, xv
+
+
+def decompose(m, c, x) -> OscillatorySum:
     """Expand <c, M^t x> into damped oscillations via the real Jordan form.
 
     rho(M) < 1 is certified by squaring M (`certify_stable`) before the one
     eigensolve inside `real_jordan`.
     """
-    a = as_matrix(m)
-    cv = as_vector(c)
-    xv = as_vector(x)
-    if a.shape[0] != a.shape[1] or cv.shape[0] != a.shape[0] or xv.shape[0] != a.shape[0]:
-        raise ValueError("dimension mismatch between matrix, cost, and state")
+    a, cv, xv = _system(m, c, x)
     certify_stable(a)
-    form = real_jordan(a, tols)
+    form = real_jordan(a)
     sigma = form.p_matrix.T @ cv
     tau = form.p_inverse @ xv
 
@@ -135,13 +139,13 @@ def decompose(m, c, x, tols: Tolerances = DEFAULT_TOLS) -> OscillatorySum:
     peak = max([d for d, *_ in raw_complex] + [abs(w) for w, _ in raw_real] + [0.0])
     floor = 1e-14 * max(1.0, peak)
     complex_terms = tuple(
-        ComplexTerm(d, r, theta, eta, _rationalize(theta, tols))
+        ComplexTerm(d, r, theta, eta, _rationalize(theta))
         for d, r, theta, eta in raw_complex
-        if d > floor and r > tols.entry_clamp
+        if d > floor and r > DEFAULT_TOLS.entry_clamp
     )
     real_terms = tuple(
         RealTerm(w, lam) for w, lam in raw_real
-        if abs(w) > floor and abs(lam) > tols.entry_clamp
+        if abs(w) > floor and abs(lam) > DEFAULT_TOLS.entry_clamp
     )
     return OscillatorySum(complex_terms, real_terms)
 
@@ -164,13 +168,13 @@ def eval_g(s: OscillatorySum, t: int) -> float:
     return float(_eval_array(s, np.array([int(t)], dtype=np.int64))[0])
 
 
-def _decay_cap(s: OscillatorySum, tols: Tolerances) -> int:
+def _decay_cap(s: OscillatorySum) -> int:
     # beyond this t the envelope is under the decay floor: scans stop here
     total = s.amplitude_total
     zeta = s.top_magnitude
     if total <= 0.0 or zeta <= 0.0:
         return 1
-    return max(1, math.ceil(math.log(tols.decay_floor / total) / math.log(zeta)))
+    return max(1, math.ceil(math.log(DEFAULT_TOLS.decay_floor / total) / math.log(zeta)))
 
 
 def _scan_first_positive(s: OscillatorySum, hi: int, floor: float) -> int | None:
@@ -217,7 +221,7 @@ def bezout_steps(a: int, b: int) -> tuple[int, int, int]:
     return n, l, g
 
 
-def find_t0(s: OscillatorySum, tols: Tolerances = DEFAULT_TOLS) -> CutoffResult:
+def find_t0(s: OscillatorySum) -> CutoffResult:
     """Locate a t0 with g(t0) > 0, or certify none is reachable.
 
     Dominant real term: closed-form thresholds split on the signs of the
@@ -230,8 +234,8 @@ def find_t0(s: OscillatorySum, tols: Tolerances = DEFAULT_TOLS) -> CutoffResult:
     """
     if s.is_empty:
         raise ValueError("empty oscillatory sum")
-    pos_floor = tols.positive_floor * max(1.0, s.amplitude_total)
-    cap = _decay_cap(s, tols)
+    pos_floor = DEFAULT_TOLS.positive_floor * max(1.0, s.amplitude_total)
+    cap = _decay_cap(s)
 
     r_q = s.complex_terms[-1].magnitude if s.complex_terms else None
     lam_p = s.real_terms[-1].rate if s.real_terms else None
@@ -241,7 +245,7 @@ def find_t0(s: OscillatorySum, tols: Tolerances = DEFAULT_TOLS) -> CutoffResult:
     real_dominant = lam_p is not None and (r_q is None or abs(lam_p) > r_q)
     if real_dominant:
         return _find_t0_real(s, pos_floor, cap)
-    return _find_t0_complex(s, pos_floor, cap, tols)
+    return _find_t0_complex(s, pos_floor, cap)
 
 
 def _advance_positive(s, t0, step, cap, pos_floor):
@@ -303,8 +307,7 @@ def _find_t0_real(s: OscillatorySum, pos_floor: float, cap: int) -> CutoffResult
     return CutoffResult(t0, None, tag)
 
 
-def _find_t0_complex(s: OscillatorySum, pos_floor: float, cap: int,
-                     tols: Tolerances) -> CutoffResult:
+def _find_t0_complex(s: OscillatorySum, pos_floor: float, cap: int) -> CutoffResult:
     term = s.complex_terms[-1]
     d, r, eta = term.amplitude, term.magnitude, term.eta_deg
     gamma = sum(t.amplitude for t in s.complex_terms[:-1]) + \
@@ -360,7 +363,7 @@ def find_n0(s: OscillatorySum, g_t0: float) -> int:
 _BLOCK = 4096                 # most cost rows tabulated, and so most points per scan block
 
 
-def rce_infinite(m, c, x, tols: Tolerances = DEFAULT_TOLS) -> RceInfResult:
+def rce_infinite(m, c, x) -> RceInfResult:
     """Supremum of <c, M^t x> over all positive integer stopping times.
 
     M is squared to the least k = 2^j with |M^k|_inf < 1, certifying rho(M) < 1.
@@ -372,9 +375,7 @@ def rce_infinite(m, c, x, tols: Tolerances = DEFAULT_TOLS) -> RceInfResult:
     projector of norm 1 that rounding leaves just under 1; the scan then never
     ends, so such input is certified first (`certify_stable`), as the CLI does.
     """
-    a, cv, xv = as_matrix(m), as_vector(c), as_vector(x)
-    if a.shape[0] != a.shape[1] or cv.shape[0] != a.shape[0] or xv.shape[0] != a.shape[0]:
-        raise ValueError("dimension mismatch between matrix, cost, and state")
+    a, cv, xv = _system(m, c, x)
     power, k = a, 1                          # power = M^k
     rows, jump = (cv @ a)[None, :], a        # rows[r - 1] = c^T M^r; jump = M^len(rows)
     while (norm := float(np.abs(power).sum(axis=1).max())) >= 1.0:
@@ -389,7 +390,7 @@ def rce_infinite(m, c, x, tols: Tolerances = DEFAULT_TOLS) -> RceInfResult:
         tail = max(tail, float(np.abs(chunk).sum(axis=1).max()))
     while norm > 0.5 and rows.shape[0] < _BLOCK:    # until a block at least halves |v|_inf
         rows, jump, norm = np.vstack([rows, rows @ jump]), jump @ jump, norm * norm
-    floor = tols.positive_floor * max(1.0, tail * float(np.abs(xv).max()))
+    floor = DEFAULT_TOLS.positive_floor * max(1.0, tail * float(np.abs(xv).max()))
     best_t, best_val, t, v = None, -math.inf, 0, xv
     while tail * float(np.abs(v).max()) > max(best_val, floor):
         vals = rows @ v                      # g(t + 1), ..., g(t + len(rows))
@@ -605,9 +606,7 @@ def geometric_drce_exact(m, c, x, rho_hat: float, xi: float,
     if eps < _ROUNDING:
         raise ValueError(f"eps must be at least {_ROUNDING:.3g}, the rounding level of "
                          f"the interpolated values, got {eps!r}")
-    a, cv, xv = as_matrix(m), as_vector(c), as_vector(x)
-    if a.shape[0] != a.shape[1] or cv.shape[0] != a.shape[0] or xv.shape[0] != a.shape[0]:
-        raise ValueError("dimension mismatch between matrix, cost, and state")
+    a, cv, xv = _system(m, c, x)
     mx = a @ xv
 
     def objective(rho: float) -> float:

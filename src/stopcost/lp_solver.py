@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLS, Tolerances
+from .config import DEFAULT_TOLS
 from .matrix_core import as_matrix, as_vector
 
 
@@ -58,7 +58,7 @@ class LpSolution:
     value: float = float("nan")
 
 
-def lp_solve(lp: LinearProgram, tols: Tolerances = DEFAULT_TOLS) -> LpSolution:
+def lp_solve(lp: LinearProgram) -> LpSolution:
     """Solve the program; statuses: optimal / infeasible / unbounded."""
     # Imported here, not at module level: scipy.optimize takes about half as
     # long to import as the whole package, and no CLI subcommand solves an LP.
@@ -77,7 +77,7 @@ def lp_solve(lp: LinearProgram, tols: Tolerances = DEFAULT_TOLS) -> LpSolution:
         raise RuntimeError(f"LP solver failed: {res.message}")
 
     x = np.asarray(res.x, dtype=float)
-    ftol = tols.lp_feasibility
+    ftol = DEFAULT_TOLS.lp_feasibility
     if (lp.ineq_lhs @ x - lp.ineq_rhs).max(initial=-np.inf) > ftol:
         raise RuntimeError("numeric instability: optimal point violates inequalities")
     if np.abs(lp.eq_lhs @ x - lp.eq_rhs).max(initial=0.0) > ftol:

@@ -18,29 +18,28 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .config import DEFAULT_TOLS, Tolerances
+from .config import DEFAULT_TOLS
 from .matrix_core import as_matrix, as_vector, certify_stable
 
 
-def _validate_transition(m, tols: Tolerances) -> np.ndarray:
+def _validate_transition(m) -> np.ndarray:
     a = as_matrix(m)
-    n = a.shape[0]
     if a.shape[0] != a.shape[1]:
         raise ValueError("transition matrix must be square")
-    if np.any(a < -tols.entry_clamp):
+    if np.any(a < -DEFAULT_TOLS.entry_clamp):
         raise ValueError("transition matrix has negative entries")
     colsums = a.sum(axis=0)
-    if np.abs(colsums - 1.0).max() > tols.column_sum:
+    if np.abs(colsums - 1.0).max() > DEFAULT_TOLS.column_sum:
         raise ValueError(
-            f"columns must sum to 1 within {tols.column_sum:g} "
+            f"columns must sum to 1 within {DEFAULT_TOLS.column_sum:g} "
             f"(worst deviation {np.abs(colsums - 1.0).max():.3e})"
         )
     a = a.copy()
-    a[(a < 0) & (a > -tols.entry_clamp)] = 0.0   # clamp numeric noise
+    a[(a < 0) & (a > -DEFAULT_TOLS.entry_clamp)] = 0.0   # clamp numeric noise
     return a
 
 
-def stationary(m, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
+def stationary(m) -> np.ndarray:
     """Stationary distribution via shifted inverse iteration at the unit eigenvalue.
 
     The chain must have a simple unit eigenvalue and no other of modulus 1,
@@ -50,7 +49,11 @@ def stationary(m, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
     1e-11, so also chains with |lambda_2| in (1 - 1e-9, 1 - 3e-11) that a
     count of eigenvalues with modulus >= 1 - 1e-9 would reject.
     """
-    a = _validate_transition(m, tols)
+    return _stationary(_validate_transition(m))
+
+
+def _stationary(a: np.ndarray) -> np.ndarray:
+    # `stationary` for a matrix `_validate_transition` has already returned
     n = a.shape[0]
     if n > 1:
         a_op, b_op = build_ab(n)
@@ -71,12 +74,12 @@ def stationary(m, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
         res = np.abs(a @ y - y).max()
         if res < best_res:
             best, best_res = y, res
-        elif best_res <= tols.stationary_residual:
+        elif best_res <= DEFAULT_TOLS.stationary_residual:
             break                         # converged and no longer improving
         v = y
-    if best is None or best_res > tols.stationary_residual:
+    if best is None or best_res > DEFAULT_TOLS.stationary_residual:
         raise RuntimeError("inverse iteration did not converge")
-    best = np.where(np.abs(best) < tols.entry_clamp, 0.0, best)
+    best = np.where(np.abs(best) < DEFAULT_TOLS.entry_clamp, 0.0, best)
     return best / best.sum()
 
 
@@ -93,9 +96,9 @@ class MarkovChain:
         self.stationary.setflags(write=False)
 
     @classmethod
-    def from_transition(cls, m, tols: Tolerances = DEFAULT_TOLS) -> "MarkovChain":
-        a = _validate_transition(m, tols)
-        pi = stationary(a, tols)
+    def from_transition(cls, m) -> "MarkovChain":
+        a = _validate_transition(m)
+        pi = _stationary(a)
         if np.abs(a @ pi - pi).max() > 1e-8:
             raise ValueError("stationary residual exceeds 1e-8")
         return cls(a.shape[0], a, pi)
@@ -153,12 +156,12 @@ def to_gas(chain: MarkovChain) -> GasSystem:
     return GasSystem(a @ chain.transition @ b, a, b, chain.stationary.copy())
 
 
-def project_state(gas: GasSystem, x, tols: Tolerances = DEFAULT_TOLS) -> np.ndarray:
+def project_state(gas: GasSystem, x) -> np.ndarray:
     """v = A (x - pi); x must lie on the probability simplex (sum 1)."""
     xv = as_vector(x)
     if xv.shape[0] != gas.n:
         raise ValueError("state dimension mismatch")
-    if abs(xv.sum() - 1.0) > tols.balance:
+    if abs(xv.sum() - 1.0) > DEFAULT_TOLS.balance:
         raise ValueError("state components must sum to 1")
     return gas.a_op @ (xv - gas.stationary)
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLS, Tolerances
+from .config import DEFAULT_TOLS
 
 
 def as_matrix(m) -> np.ndarray:
@@ -181,9 +181,9 @@ def _phase_align(z: np.ndarray) -> np.ndarray:
     return u / nrm
 
 
-def _assemble(lam: np.ndarray, vecs: np.ndarray, scale: float, tols: Tolerances):
+def _assemble(lam: np.ndarray, vecs: np.ndarray, scale: float):
     n = lam.shape[0]
-    tol = tols.eigen_distinct * scale
+    tol = DEFAULT_TOLS.eigen_distinct * scale
     real_idx = [i for i in range(n) if abs(lam[i].imag) <= tol]
     pair_idx = [i for i in range(n) if lam[i].imag > tol]
     if len(real_idx) + 2 * len(pair_idx) != n:
@@ -225,7 +225,7 @@ def _assemble(lam: np.ndarray, vecs: np.ndarray, scale: float, tols: Tolerances)
     return p, p_inv, tuple(blocks), tuple(reals)
 
 
-def real_jordan(m, tols: Tolerances = DEFAULT_TOLS) -> RealJordanForm:
+def real_jordan(m) -> RealJordanForm:
     """Real Jordan decomposition with distinct-magnitude guarantee.
 
     When eigenvalues (or their magnitudes) collide within tolerance, the input
@@ -238,16 +238,16 @@ def real_jordan(m, tols: Tolerances = DEFAULT_TOLS) -> RealJordanForm:
     if n == 0:
         raise ValueError("empty matrix")
     scale = max(1.0, float(np.abs(a).max()))
-    recon_tol = tols.reconstruction * scale
+    recon_tol = DEFAULT_TOLS.reconstruction * scale
     pattern = np.diag(np.arange(1, n + 1, dtype=float) / n)
     for mult in (0.0, 1.0, 2.0, 4.0):
-        delta = mult * tols.perturbation * scale
+        delta = mult * DEFAULT_TOLS.perturbation * scale
         work = a + delta * pattern
         try:
             lam, vecs = np.linalg.eig(work)
         except np.linalg.LinAlgError as exc:
             raise RuntimeError(f"eigensolver did not converge: {exc}") from exc
-        built = _assemble(lam, vecs, scale, tols)
+        built = _assemble(lam, vecs, scale)
         if built is None:
             continue
         p, p_inv, blocks, reals = built

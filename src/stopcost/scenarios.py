@@ -44,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLS, Tolerances
+from .config import DEFAULT_TOLS
 from .finite_horizon import CostSequence, cost_sequence_strided
 from .matrix_core import as_matrix, as_vector, mat_pow
 from .wasserstein import AmbiguitySet, drce_finite
@@ -416,22 +416,19 @@ def _support_band(cum_flat: np.ndarray, n: int,
 
 
 def _next_states(cum_flat: np.ndarray, n: int, state: np.ndarray,
-                 u: np.ndarray, stride: int | None = None, *,
-                 band: tuple | None = None) -> np.ndarray:
+                 u: np.ndarray, stride: int, *, band: tuple) -> np.ndarray:
     """Vectorized `min(searchsorted(cum[:, s], u, side="right"), n - 1)` for u >= 0.
 
     cum_flat is the C-ordered n x stride array of nondecreasing cumulative
-    columns (stride n unless given), and `band` its `_support_band`, derived
-    here unless passed. A draw u >= the column total takes the clamp to
-    n - 1. Below it, every entry <= 0 counts and no entry equal to the total
-    does, so the count of entries <= u is lo plus that of the band's rows,
-    which bisection finds in `depth` levels rather than bit_length(n): one
-    for the csoc overtime chain, where a column holds two states. A probe is
-    clamped to row hi, whose entry (the total) exceeds u; `off` ends at the
-    flat index of row `count`.
+    columns, and `band` its `_support_band`. A draw u >= the column total
+    takes the clamp to n - 1. Below it, every entry <= 0 counts and no entry
+    equal to the total does, so the count of entries <= u is lo plus that of
+    the band's rows, which bisection finds in `depth` levels rather than
+    bit_length(n): one for the csoc overtime chain, where a column holds two
+    states. A probe is clamped to row hi, whose entry (the total) exceeds u;
+    `off` ends at the flat index of row `count`.
     """
-    stride = n if stride is None else stride
-    lo_at, hi_at, total, depth = _support_band(cum_flat, n, stride) if band is None else band
+    lo_at, hi_at, total, depth = band
     off = lo_at[state]
     last = hi_at[state]
     step = 1 << depth >> 1
@@ -455,10 +452,10 @@ def _cumulative_columns(a: np.ndarray) -> np.ndarray:
 
 
 def _decode(cum_flat: np.ndarray, n: int, stride: int, state: np.ndarray,
-            u: np.ndarray, *, band: tuple | None = None) -> None:
+            u: np.ndarray, *, band: tuple) -> None:
     """Step every person for one draw per walker, in place: row d of `state`
     is person d's state, the column it reads of the n x stride table (whose
-    `_support_band` is `band`, derived here unless passed).
+    `_support_band` is `band`).
 
     Person 0 is the most significant digit, as in np.kron. Each person takes
     the state j its own column selects for the draw, and the draw is then
@@ -466,8 +463,6 @@ def _decode(cum_flat: np.ndarray, n: int, stride: int, state: np.ndarray,
     where that block is empty (the draw was clamped into a zero-probability
     state), so the later persons clamp too.
     """
-    if band is None:
-        band = _support_band(cum_flat, n, stride)
     for d in range(state.shape[0]):
         j = _next_states(cum_flat, n, state[d], u, stride, band=band)
         if d + 1 < state.shape[0]:
@@ -480,7 +475,7 @@ def _decode(cum_flat: np.ndarray, n: int, stride: int, state: np.ndarray,
 
 def _rollout_costs(cum_cols: np.ndarray, cum_x0: np.ndarray, c: np.ndarray,
                    samples: list[int], copies: int, seed: int,
-                   digits: int = 1) -> np.ndarray:
+                   digits: int) -> np.ndarray:
     """Realized cost at each sampled stopping time, summed over the copies.
 
     Sample i draws from its own substream, spawn key (i,) under the seed:
@@ -535,8 +530,7 @@ def _rollout_costs(cum_cols: np.ndarray, cum_x0: np.ndarray, c: np.ndarray,
 
 def compare_report(m, x0, c, samples, xi: float, seed: int, *,
                    copies: int = 1, population: int = 1,
-                   support_max: int | None = None,
-                   tols: Tolerances = DEFAULT_TOLS) -> ComparisonReport:
+                   support_max: int | None = None) -> ComparisonReport:
     """Plug-in versus robust cost on sampled stopping times.
 
     t_hat is the rounded sample mean and the plug-in estimate is the expected
@@ -567,9 +561,10 @@ def compare_report(m, x0, c, samples, xi: float, seed: int, *,
     n = a.shape[0]
     if a.shape[0] != a.shape[1] or x.shape[0] != n or cv.shape[0] != n:
         raise ValueError("dimension mismatch between matrix, state, and cost")
-    if np.any(a < -tols.entry_clamp) or np.any(np.abs(a.sum(axis=0) - 1.0) > tols.column_sum):
+    if np.any(a < -DEFAULT_TOLS.entry_clamp) or \
+            np.any(np.abs(a.sum(axis=0) - 1.0) > DEFAULT_TOLS.column_sum):
         raise ValueError("matrix must be column-stochastic for rollouts")
-    if np.any(x < -tols.entry_clamp) or abs(x.sum() - 1.0) > tols.column_sum:
+    if np.any(x < -DEFAULT_TOLS.entry_clamp) or abs(x.sum() - 1.0) > DEFAULT_TOLS.column_sum:
         raise ValueError("x0 must be a probability distribution for rollouts")
     samples = [_as_int(t, "samples must be integers") for t in samples]
     if not samples:
@@ -594,7 +589,7 @@ def compare_report(m, x0, c, samples, xi: float, seed: int, *,
     g = cost_sequence_strided(a, x, cv, horizon).values * (copies * population)
     empirical = float(g[t_hat - 1])
     robust = drce_finite(CostSequence(horizon, g),
-                         AmbiguitySet(p_hat, float(xi)), tols).value
+                         AmbiguitySet(p_hat, float(xi))).value
 
     cum_cols = _cumulative_columns(a)
     cum_x0 = np.cumsum(np.clip(x, 0.0, None))

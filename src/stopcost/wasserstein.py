@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_TOLS, Tolerances
+from .config import DEFAULT_TOLS
 from .finite_horizon import CostSequence, cost_sequence_strided
 from .lp_solver import LinearProgram, lp_solve
 from .matrix_core import as_matrix, as_vector
@@ -111,12 +111,11 @@ class DrceSolution:
     case_used: str
 
 
-def w_norm(mu, distance: GroundDistance = GroundDistance.line(),
-           tols: Tolerances = DEFAULT_TOLS) -> float:
+def w_norm(mu, distance: GroundDistance = GroundDistance.line()) -> float:
     """Dual norm of a balanced vector: |partial sums|_1 on the line, else an LP."""
     v = as_vector(mu)
     t = v.shape[0]
-    if abs(v.sum()) > tols.balance:
+    if abs(v.sum()) > DEFAULT_TOLS.balance:
         raise ValueError("w_norm requires entries summing to zero")
     if t == 1:
         return 0.0
@@ -130,22 +129,22 @@ def w_norm(mu, distance: GroundDistance = GroundDistance.line(),
         eq=(np.ones((1, t)), np.zeros(1)),
         nonneg=False,
     )
-    sol = lp_solve(lp, tols)
+    sol = lp_solve(lp)
     if sol.status != "optimal":
         raise RuntimeError(f"norm LP unexpectedly {sol.status}")
     return sol.value
 
 
-def w1_distance(p, q, distance: GroundDistance = GroundDistance.line(),
-                tols: Tolerances = DEFAULT_TOLS) -> float:
+def w1_distance(p, q, distance: GroundDistance = GroundDistance.line()) -> float:
     """Wasserstein-1 distance between two distributions on 1..T."""
     pv, qv = as_vector(p), as_vector(q)
     if pv.shape != qv.shape:
         raise ValueError("distributions must share a support size")
     for name, v in (("first", pv), ("second", qv)):
-        if abs(v.sum() - 1.0) > tols.balance or v.min(initial=0.0) < -tols.entry_clamp:
+        if abs(v.sum() - 1.0) > DEFAULT_TOLS.balance or \
+                v.min(initial=0.0) < -DEFAULT_TOLS.entry_clamp:
             raise ValueError(f"{name} argument is not a probability distribution")
-    return w_norm(pv - qv, distance, tols)
+    return w_norm(pv - qv, distance)
 
 
 def unit_ball_vertices(t: int) -> list[np.ndarray]:
@@ -162,7 +161,9 @@ def unit_ball_vertices(t: int) -> list[np.ndarray]:
 
 
 def _drce_lp(g: np.ndarray, p_hat: np.ndarray, xi: float,
-             vertices: list[np.ndarray], tols: Tolerances) -> DrceSolution:
+             vertices: list[np.ndarray], _tols) -> DrceSolution:
+    """The hull LP over `vertices`, the tests' reference for `drce_finite`. The
+    fifth argument is unused: the acceptance tests pass DEFAULT_TOLS there."""
     t = p_hat.shape[0]
     k = len(vertices)
     nvar = t + k
@@ -174,7 +175,7 @@ def _drce_lp(g: np.ndarray, p_hat: np.ndarray, xi: float,
         eq[:t, t + idx] = -xi * v
     eq[t, t:] = 1.0
     rhs = np.concatenate([p_hat, [1.0]])
-    sol = lp_solve(LinearProgram.maximize(obj, eq=(eq, rhs), nonneg=True), tols)
+    sol = lp_solve(LinearProgram.maximize(obj, eq=(eq, rhs), nonneg=True))
     if sol.status != "optimal":
         raise RuntimeError(f"worst-case LP unexpectedly {sol.status}: internal bug")
     q = sol.point[:t]
@@ -240,8 +241,7 @@ def _drce_dual(g: np.ndarray, p_hat: np.ndarray, xi: float,
     return DrceSolution(float(g @ q), q, "lp")
 
 
-def drce_finite(seq: CostSequence, amb: AmbiguitySet,
-                tols: Tolerances = DEFAULT_TOLS) -> DrceSolution:
+def drce_finite(seq: CostSequence, amb: AmbiguitySet) -> DrceSolution:
     """Worst expected cost over the Wasserstein ball (intersected with the simplex).
 
     With the line metric, when every shifted vertex p_hat +- xi (e_i - e_{i+1})
@@ -261,7 +261,7 @@ def drce_finite(seq: CostSequence, amb: AmbiguitySet,
 
     if amb.distance.kind != "line":
         return _drce_dual(g, p_hat, xi, amb.distance.materialize(t))
-    if p_hat.min() - xi < tols.vertex_boundary:
+    if p_hat.min() - xi < DEFAULT_TOLS.vertex_boundary:
         return _drce_dual(g, p_hat, xi)
     # vertex +-(e_i - e_{i+1}) adds -+xi * (g_{i+1} - g_i) to the nominal cost
     step = np.diff(g)
@@ -273,8 +273,7 @@ def drce_finite(seq: CostSequence, amb: AmbiguitySet,
     return DrceSolution(float(g @ p_hat) + xi * abs(float(step[i])), q, "vertex-enumeration")
 
 
-def drce_with_initial_uncertainty(m, x_hat0, vertices, c, amb: AmbiguitySet,
-                                  tols: Tolerances = DEFAULT_TOLS) -> tuple[float, int]:
+def drce_with_initial_uncertainty(m, x_hat0, vertices, c, amb: AmbiguitySet) -> tuple[float, int]:
     """Worst case over both the stopping law and a polytopic initial state.
 
     ``vertices`` lists the extreme offsets u_i of the initial-state uncertainty
@@ -291,7 +290,7 @@ def drce_with_initial_uncertainty(m, x_hat0, vertices, c, amb: AmbiguitySet,
     for idx, u in enumerate(vertices):
         x0 = x_hat + as_vector(u)
         seq = cost_sequence_strided(a, x0, cv, horizon)
-        sol = drce_finite(seq, amb, tols)
+        sol = drce_finite(seq, amb)
         if sol.value > best_val:
             best_val, best_idx = sol.value, idx
     return float(best_val), best_idx

@@ -265,11 +265,11 @@ def exact_cost_values(a, q, c, x, horizon):
     return values
 
 
-def stationary_eigvals_oracle(m, tols=DEFAULT_TOLS):
+def stationary_eigvals_oracle(m):
     """`stationary` as it was before its stability certificate: the chain is
     accepted when exactly one eigenvalue has modulus >= 1 - 1e-9, then pi is
     found by the same shifted inverse iteration."""
-    a = _validate_transition(m, tols)
+    a = _validate_transition(m)
     n = a.shape[0]
     lam = np.linalg.eigvals(a)
     if int(np.sum(np.abs(lam) >= 1.0 - 1e-9)) != 1:
@@ -287,10 +287,10 @@ def stationary_eigvals_oracle(m, tols=DEFAULT_TOLS):
         res = np.abs(a @ y - y).max()
         if res < best_res:
             best, best_res = y, res
-        elif best_res <= tols.stationary_residual:
+        elif best_res <= DEFAULT_TOLS.stationary_residual:
             break
         v = y
-    if best is None or best_res > tols.stationary_residual:
+    if best is None or best_res > DEFAULT_TOLS.stationary_residual:
         raise RuntimeError("inverse iteration did not converge")
-    best = np.where(np.abs(best) < tols.entry_clamp, 0.0, best)
+    best = np.where(np.abs(best) < DEFAULT_TOLS.entry_clamp, 0.0, best)
     return best / best.sum()

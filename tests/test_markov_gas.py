@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from stopcost import markov_gas
 from stopcost.markov_gas import (
     GasSystem,
     MarkovChain,
@@ -136,6 +137,22 @@ def test_from_transition_validates():
         MarkovChain.from_transition(bad)
     with pytest.raises(ValueError):
         MarkovChain.from_transition(np.array([[1.2, 0.0], [-0.2, 1.0]]))
+
+
+def test_from_transition_validates_once(monkeypatch):
+    calls = []
+    validate = markov_gas._validate_transition
+
+    def counting(*args):
+        calls.append(args)
+        return validate(*args)
+    monkeypatch.setattr(markov_gas, "_validate_transition", counting)
+    m = random_chain(np.random.default_rng(12), 9)
+    chain = MarkovChain.from_transition(m)
+    assert len(calls) == 1
+    pi = stationary(m)                  # the public function validates its own input
+    assert len(calls) == 2
+    assert np.array_equal(chain.stationary, pi)
 
 
 def test_two_state_shifted_matrix():

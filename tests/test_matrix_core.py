@@ -129,7 +129,7 @@ def test_assemble_distinctness_matches_pairwise_loops():
             if z.imag < -tol:
                 vecs[:, i] = np.conj(vecs[:, spec.index(np.conj(z))])
         distinct = _distinct_by_loops(list(lam), tol)
-        assert (_assemble(lam, vecs, 1.0, DEFAULT_TOLS) is not None) == distinct, spec
+        assert (_assemble(lam, vecs, 1.0) is not None) == distinct, spec
         decisions.add(distinct)
     assert decisions == {True, False}
 

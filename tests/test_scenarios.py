@@ -365,7 +365,7 @@ def test_rollout_costs_bit_identical_with_clamps_and_blocks(n, block_draws, monk
     monkeypatch.setattr(scenarios, "_ROLLOUT_BLOCK_DRAWS", block_draws)
     for copies in (1, 3):
         got = scenarios._rollout_costs(np.cumsum(m, axis=0), np.cumsum(x0), c,
-                                       samples, copies, n)
+                                       samples, copies, n, 1)
         want = rollout_costs_oracle(m, x0, c, samples, n, copies)
         assert np.array_equal(got, want)
 
@@ -393,7 +393,9 @@ def test_next_states_matches_searchsorted_on_exact_ties():
         u[:4] = (0.0, 0.95, 1.0 - 2.0 ** -53, cum[-1, state[3]])
         want = [min(int(np.searchsorted(cum[:, s], v, side="right")), n - 1)
                 for s, v in zip(state, u)]
-        assert scenarios._next_states(cum.ravel(), n, state, u).tolist() == want
+        flat = cum.ravel()
+        band = scenarios._support_band(flat, n, n)
+        assert scenarios._next_states(flat, n, state, u, n, band=band).tolist() == want
 
 
 # Seeds at the boundaries of their uint32 word count, which sets how
@@ -456,7 +458,6 @@ def test_next_states_band_search_matches_searchsorted():
                 for s, v in zip(state, u)]
         flat = cum.ravel()
         band = scenarios._support_band(flat, n, stride)
-        assert scenarios._next_states(flat, n, state, u, stride).tolist() == want, name
         assert scenarios._next_states(flat, n, state, u, stride, band=band).tolist() == want, name
 
 
@@ -552,7 +553,8 @@ def test_decode_picks_the_dense_kronecker_state(k, population):
     place = k ** np.arange(population - 1, -1, -1)
     want = [min(int(np.searchsorted(dense[:, s], v, side="right")), k ** population - 1)
             for s, v in zip(place @ state, u)]
-    scenarios._decode(np.cumsum(m, axis=0).ravel(), k, k, state, u)
+    flat = np.cumsum(m, axis=0).ravel()
+    scenarios._decode(flat, k, k, state, u, band=scenarios._support_band(flat, k, k))
     assert (place @ state).tolist() == want
 
 
@@ -563,7 +565,8 @@ def test_decode_clamps_every_person_past_a_short_column():
     m = np.array([[0.5, 0.3, 0.2], [0.5, 0.7, 0.8], [0.0, 0.0, 0.0]]) * (1.0 - 1e-12)
     state = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
     u = np.full(3, 1.0 - 2.0 ** -53)
-    scenarios._decode(np.cumsum(m, axis=0).ravel(), 3, 3, state, u)
+    flat = np.cumsum(m, axis=0).ravel()
+    scenarios._decode(flat, 3, 3, state, u, band=scenarios._support_band(flat, 3, 3))
     assert np.array_equal(state, np.full((3, 3), 2))
 
 
@@ -575,9 +578,9 @@ def test_population_report_equals_dense_report(model, population, monkeypatch):
     dense_g = cost_sequence_naive(m, x0, joint_c, 15).values
     seen = []
 
-    def record(seq, ball, tols):
+    def record(seq, ball):
         seen.append(seq.values.copy())
-        return original(seq, ball, tols)
+        return original(seq, ball)
     original = scenarios.drce_finite
     monkeypatch.setattr(scenarios, "drce_finite", record)
     for seed in range(3):

@@ -89,9 +89,9 @@ def test_explicit_w_norm_lp_rows_match_pairwise_loop(monkeypatch):
     """The constraint rows u_i - u_j <= d_ij, built pair by pair as a reference."""
     captured = []
 
-    def spy(lp, tols):
+    def spy(lp):
         captured.append(lp)
-        return solve(lp, tols)
+        return solve(lp)
 
     solve = wasserstein.lp_solve
     monkeypatch.setattr(wasserstein, "lp_solve", spy)
