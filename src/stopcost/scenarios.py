@@ -19,10 +19,17 @@ realized costs are bit-identical to drawing and stepping one sample at a time.
 Sample i's substream is numpy's `Generator(PCG64(SeedSequence(entropy=seed,
 spawn_key=(i,))))`, but no SeedSequence is built per sample: a vectorized
 replica of SeedSequence's hashing and PCG64's seeding computes every stream's
-start state at once, and one reused generator draws each stream from it, bit
-for bit. Each step bisects only the support band of the walker's cumulative
-column, the rows between its last zero entry and its total, so the search
-costs the bit length of the widest band rather than of the state count.
+start state at once. How the draws follow depends on the block's longest
+stream. If no stream is longer than 32 draws (the packaged SIR/SVIR studies
+draw at most 16 per stream), draw j of every stream is computed at once from
+the PCG64 recurrence, as M^j times the start state plus (M^(j-1) + ... + 1)
+times the increment mod 2**128, and no generator is built. A block with a
+longer stream (csoc's streams reach 242 draws) sets each stream's start state
+on one reused generator and draws it there, which is the cheaper way for long
+streams. Both give numpy's draws bit for bit. Each step bisects only the
+support band of the walker's cumulative column, the rows between its last
+zero entry and its total, so the search costs the bit length of the widest
+band rather than of the state count.
 
 A population rollout still takes one uniform per joint step and decodes it
 person by person, in the Kronecker order (person 0 the most significant
@@ -46,7 +53,8 @@ import numpy as np
 
 from .config import DEFAULT_TOLS
 from .finite_horizon import CostSequence, cost_sequence_strided
-from .matrix_core import as_matrix, as_vector, mat_pow
+from .markov_gas import _validate_transition
+from .matrix_core import as_vector, mat_pow
 from .wasserstein import AmbiguitySet, drce_finite
 
 
@@ -375,27 +383,116 @@ def _stream_words(seed: int, keys: np.ndarray) -> np.ndarray:
     return state.view("<u8")
 
 
-def _draw_streams(gen: np.random.Generator, seed: int, keys: np.ndarray,
-                  widths: list[int], out: np.ndarray) -> None:
+def _pcg_jumps(count: int) -> tuple[np.ndarray, ...]:
+    """The state PCG64 outputs at draw j = 1..count is mul_j * a + add_j * inc
+    with a = initstate + inc (seeding takes one step before the first draw):
+    mul_j = M**(j+1) and add_j = sum(M**i, i <= j), mod 2**128. Returns the
+    high and low uint64 words of mul, then of add."""
+    mul, add = [], []
+    power, total = _PCG_MULT, 1
+    for _ in range(count):
+        total = (total + power) & _MASK128
+        power = power * _PCG_MULT & _MASK128
+        mul.append(power)
+        add.append(total)
+    return tuple(np.array([v >> shift & (1 << 64) - 1 for v in values], dtype=np.uint64)
+                 for values in (mul, add) for shift in (64, 0))
+
+
+# A block whose streams are all this short is drawn as arrays, in chunks of
+# at most _SHORT_CHUNK_CELLS draws; a longer stream goes through a generator.
+_SHORT_STREAM_DRAWS = 32
+_SHORT_CHUNK_CELLS = 8192
+_MUL_HI, _MUL_LO, _ADD_HI, _ADD_LO = _pcg_jumps(_SHORT_STREAM_DRAWS)
+_U1, _U11, _U32, _U58, _U63, _U64 = (np.uint64(v) for v in (1, 11, 32, 58, 63, 64))
+_LOW32 = np.uint64(_MASK32)
+
+
+def _mulhi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """High uint64 word of the 128-bit product a * b, from 32-bit limbs."""
+    a0, a1, b0, b1 = a & _LOW32, a >> _U32, b & _LOW32, b >> _U32
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> _U32) + (p01 & _LOW32) + (p10 & _LOW32)
+    return a1 * b1 + (p01 >> _U32) + (p10 >> _U32) + (mid >> _U32)
+
+
+def _pcg_grid(a_hi: np.ndarray, a_lo: np.ndarray, inc_hi: np.ndarray,
+              inc_lo: np.ndarray, width: int) -> np.ndarray:
+    """Draws 1..width of each stream, one row per stream, given its columns
+    a = initstate + inc and inc as high and low uint64 words.
+
+    Draw j steps the state to mul_j a + add_j inc (mod 2**128); its output is
+    the XSL-RR of that state, rotr(hi ^ lo, hi >> 58), and the draw is
+    (output >> 11) * 2**-53, as PCG64 and `Generator.random` compute them.
+    Every wrapping product is an array product: a product of np.uint64
+    scalars warns on overflow.
+    """
+    m_hi, m_lo = _MUL_HI[:width], _MUL_LO[:width]
+    c_hi, c_lo = _ADD_HI[:width], _ADD_LO[:width]
+    first = a_lo * m_lo
+    lo = first + inc_lo * c_lo
+    hi = _mulhi(a_lo, m_lo) + _mulhi(inc_lo, c_lo)
+    hi += a_lo * m_hi + a_hi * m_lo + inc_lo * c_hi + inc_hi * c_lo + (lo < first)
+    out = hi ^ lo
+    rot = hi >> _U58
+    out = out >> rot | out << ((_U64 - rot) & _U63)
+    return (out >> _U11) * 2.0 ** -53
+
+
+def _draw_short_streams(words: np.ndarray, widths: np.ndarray, out: np.ndarray) -> None:
+    """`_draw_streams` for streams of at most _SHORT_STREAM_DRAWS draws, with
+    no generator: rows of streams are drawn as grids of at most
+    _SHORT_CHUNK_CELLS cells, and each row keeps its first widths[j] draws."""
+    w0, w1, w2, w3 = words.T
+    inc_hi = w2 << _U1 | w3 >> _U63
+    inc_lo = w3 << _U1 | _U1
+    a_lo = inc_lo + w1
+    a_hi = inc_hi + w0 + (a_lo < inc_lo)
+    rows = max(1, _SHORT_CHUNK_CELLS // int(widths.max()))
+    first = 0
+    for start in range(0, widths.size, rows):
+        part = slice(start, start + rows)
+        width = int(widths[part].max())
+        grid = _pcg_grid(a_hi[part, None], a_lo[part, None], inc_hi[part, None],
+                         inc_lo[part, None], width)
+        draws = grid[np.arange(width) < widths[part, None]]
+        out[first:first + draws.size] = draws
+        first += draws.size
+
+
+def _draw_streams(gen: np.random.Generator | None, seed: int, keys: np.ndarray,
+                  widths: list[int], out: np.ndarray) -> np.random.Generator | None:
     """Fill `out` with the first widths[j] draws of each key's stream in turn,
     `Generator(PCG64(SeedSequence(entropy=seed, spawn_key=(key,)))).random`,
-    through the one PCG64 generator `gen`, whose state is overwritten.
+    and return the generator for the next block.
 
     PCG64 seeds from the words (w0, w1, w2, w3) with initstate = w0 w1 and
     inc = (w2 w3) << 1 | 1: its state starts at inc, adds initstate and takes
-    one LCG step, all mod 2**128. Setting that state reproduces the stream.
+    one LCG step, all mod 2**128. If no stream is longer than
+    _SHORT_STREAM_DRAWS, every draw is computed from those words as arrays
+    (`_draw_short_streams`) and `gen` is not used. Otherwise each stream's
+    state is set on the PCG64 generator `gen` (built here if None), whose
+    state is overwritten, and drawn through it: past a few dozen draws per
+    stream the generator is the cheaper of the two.
     """
+    words = _stream_words(seed, keys)
+    if max(widths) <= _SHORT_STREAM_DRAWS:
+        _draw_short_streams(words, np.asarray(widths), out)
+        return gen
+    if gen is None:
+        gen = np.random.Generator(np.random.PCG64(0))
     bitgen = gen.bit_generator
     inner = {}
     state = {"bit_generator": "PCG64", "state": inner, "has_uint32": 0, "uinteger": 0}
     first = 0
-    for (w0, w1, w2, w3), width in zip(_stream_words(seed, keys).tolist(), widths):
+    for (w0, w1, w2, w3), width in zip(words.tolist(), widths):
         inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
         inner["state"] = ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _MASK128
         inner["inc"] = inc
         bitgen.state = state
         gen.random(out=out[first:first + width])
         first += width
+    return gen
 
 
 def _support_band(cum_flat: np.ndarray, n: int,
@@ -482,8 +579,10 @@ def _rollout_costs(cum_cols: np.ndarray, cum_x0: np.ndarray, c: np.ndarray,
     copy r takes draws r(t_i+1) .. r(t_i+1)+t_i, the first picking the start
     state from x0 and each later one a step. A block's streams are seeded in
     one vectorized replica of numpy's SeedSequence and PCG64 seeding
-    (`_stream_words`), then drawn through one reused generator
-    (`_draw_streams`), so no per-sample SeedSequence is built. All walkers of
+    (`_stream_words`), so no per-sample SeedSequence is built. `_draw_streams`
+    then computes every draw as arrays if no stream of the block is longer
+    than 32 draws, and otherwise draws each stream through one generator,
+    built for the first such block and reused. All walkers of
     a block step together, longest first so the walkers still moving form a
     prefix, each bisecting only its column's support band (`_next_states`);
     the states, and hence the costs, are bit-identical to drawing and
@@ -499,7 +598,7 @@ def _rollout_costs(cum_cols: np.ndarray, cum_x0: np.ndarray, c: np.ndarray,
     cum_flat = cum_cols.ravel()
     step_band = _support_band(cum_flat, n, n)
     x0_band = _support_band(cum_x0, n, 1)
-    gen = np.random.Generator(np.random.PCG64(0))
+    gen = None
     ts = np.asarray(samples, dtype=np.intp)
     block = max(1, _ROLLOUT_BLOCK_DRAWS // (copies * (int(ts.max()) + 1)))
     costs = np.empty(ts.size)
@@ -510,7 +609,7 @@ def _rollout_costs(cum_cols: np.ndarray, cum_x0: np.ndarray, c: np.ndarray,
         widths = copies * (t + 1)
         starts = np.cumsum(widths) - widths
         u = np.empty(int(widths.sum()))
-        _draw_streams(gen, seed, ids, widths.tolist(), u)
+        gen = _draw_streams(gen, seed, ids, widths.tolist(), u)
         # walker a * copies + r is copy r of sample ids[a]; state[d] is person d
         base = (starts[:, None] + np.arange(copies) * (t + 1)[:, None]).ravel()
         state = np.zeros((digits, base.size), dtype=np.intp)
@@ -542,10 +641,13 @@ def compare_report(m, x0, c, samples, xi: float, seed: int, *,
     exceeds each estimate. The rollouts run batched over blocks of samples,
     with each sample's substream pre-drawn from a start state that a
     vectorized replica of numpy's SeedSequence/PCG64 seeding computes for the
-    whole block, and each step bisects only the support band of its column;
-    the percentages are bit-identical to sequential per-sample draws from
-    fresh generators. The seed must be a non-negative integer, and the
-    samples and support_max integers: a float among them raises ValueError.
+    whole block: as arrays from the PCG64 recurrence when no stream of the
+    block is longer than 32 draws, else through one reused generator. Each
+    step bisects only the support band of its column. The percentages are
+    bit-identical to sequential per-sample draws from fresh generators. The
+    matrix is checked as `stationary` checks it. The seed must be a
+    non-negative integer, and the samples and support_max integers: a float
+    among them raises ValueError.
 
     With population = N > 1, (m, x0, c) describe one person and each replica
     is N independent, identical persons, costing the sum of their costs. The
@@ -555,15 +657,12 @@ def compare_report(m, x0, c, samples, xi: float, seed: int, *,
     draw lies within about k^N ulps of a block boundary, and the 53 bits of
     that draw limit N to a few dozen (see the module docstring).
     """
-    a = as_matrix(m)
+    a = _validate_transition(m)
     x = as_vector(x0)
     cv = as_vector(c)
     n = a.shape[0]
-    if a.shape[0] != a.shape[1] or x.shape[0] != n or cv.shape[0] != n:
+    if x.shape[0] != n or cv.shape[0] != n:
         raise ValueError("dimension mismatch between matrix, state, and cost")
-    if np.any(a < -DEFAULT_TOLS.entry_clamp) or \
-            np.any(np.abs(a.sum(axis=0) - 1.0) > DEFAULT_TOLS.column_sum):
-        raise ValueError("matrix must be column-stochastic for rollouts")
     if np.any(x < -DEFAULT_TOLS.entry_clamp) or abs(x.sum() - 1.0) > DEFAULT_TOLS.column_sum:
         raise ValueError("x0 must be a probability distribution for rollouts")
     samples = [_as_int(t, "samples must be integers") for t in samples]

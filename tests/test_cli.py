@@ -449,6 +449,27 @@ def test_scenario_rows_are_pinned_at_multiword_seeds(seed, capsys):
     assert out == ComparisonReport.CSV_HEADER + "\n" + MULTIWORD_SEED_ROWS[seed] + "\n"
 
 
+# sir and svir at the same seeds, printed before their short streams were
+# computed as arrays rather than drawn through a generator.
+EPIDEMIC_MULTIWORD_SEED_ROWS = {
+    ("sir", 2**32): "0.7497612,3.16127379998,62.2,3.8,8,4,4294967296",
+    ("svir", 2**32): "0.6894468,1.3647250739,52,15.6,8,4,4294967296",
+    ("sir", 2**128 + 1): "0.7497612,3.07834220329,58,2.8,8,4,"
+                         "340282366920938463463374607431768211457",
+    ("svir", 2**128 + 1): "0.6894468,1.34146077767,53.6,13.6,8,4,"
+                          "340282366920938463463374607431768211457",
+}
+
+
+@pytest.mark.parametrize("name,seed", sorted(EPIDEMIC_MULTIWORD_SEED_ROWS))
+def test_epidemic_rows_are_pinned_at_multiword_seeds(name, seed, capsys):
+    code, out, err = run_cli(capsys, "scenario", name,
+                             "--samples", "500", "--xi", "4", "--seed", str(seed))
+    assert code == 0, err
+    assert out == (ComparisonReport.CSV_HEADER + "\n"
+                   + EPIDEMIC_MULTIWORD_SEED_ROWS[name, seed] + "\n")
+
+
 def test_scenario_svir_builds_no_joint_chain(monkeypatch, capsys):
     def refuse(*_, **__):
         raise AssertionError("dense joint chain built")

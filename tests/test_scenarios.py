@@ -292,10 +292,27 @@ def test_compare_report_validation():
         compare_report(m, x0, c, [2, 3], 0.1, seed=0, support_max=4.0)
     assert compare_report(m, x0, c, np.array([2, 3]), 0.1, seed=0, support_max=np.int64(4)) == \
         compare_report(m, x0, c, [2, 3], 0.1, seed=0, support_max=4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="columns must sum to 1 within"):
         compare_report(np.ones((2, 2)), x0, c, [2], 0.1, seed=0)
+    with pytest.raises(ValueError, match="transition matrix has negative entries"):
+        compare_report(np.array([[1.1, 0.0], [-0.1, 1.0]]), x0, c, [2], 0.1, seed=0)
+    with pytest.raises(ValueError, match="transition matrix must be square"):
+        compare_report(np.ones((2, 3)) / 2, x0, c, [2], 0.1, seed=0)
     with pytest.raises(ValueError):
         compare_report(m, np.array([0.9, 0.9]), c, [2], 0.1, seed=0)
+
+
+def test_compare_report_checks_the_matrix_as_stationary_does():
+    # an entry of -1e-13 is noise that the transition check clamps to 0, so
+    # the report equals the clean chain's, plug-in cost included
+    clean = np.array([[0.5, 0.0], [0.5, 1.0]])
+    noisy = clean.copy()
+    noisy[0, 1] = -1e-13
+    x0 = np.array([0.0, 1.0])
+    c = np.array([1.0, 0.0])
+    samples = [1, 2, 3, 3, 4]
+    assert compare_report(noisy, x0, c, samples, 0.5, seed=0) == \
+        compare_report(clean, x0, c, samples, 0.5, seed=0)
 
 
 # ------------------------------------------------- batched rollout draws ---
@@ -408,15 +425,26 @@ _WORD_BOUNDARY_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96,
 @pytest.mark.parametrize("seed", _WORD_BOUNDARY_SEEDS)
 def test_draw_streams_equal_numpy_seeded_generators(seed):
     keys = np.random.default_rng(seed % 1000).permutation(601)   # blocks draw in any key order
-    widths = [int(key) % 300 + 1 for key in keys]
-    u = np.empty(sum(widths))
-    scenarios._draw_streams(np.random.Generator(np.random.PCG64(0)), seed, keys, widths, u)
-    first = 0
-    for key, width in zip(keys.tolist(), widths):
-        want = np.random.Generator(np.random.PCG64(
-            np.random.SeedSequence(entropy=seed, spawn_key=(key,)))).random(width)
-        assert np.array_equal(u[first:first + width], want), f"key {key}"
-        first += width
+    short, chunk = 32, scenarios._SHORT_CHUNK_CELLS     # the 32-draw rule
+    mixed = [int(key) % short + 1 for key in keys[1:]]
+    blocks = [                      # widths; a stream > 32 draws needs the generator
+        [int(key) % 300 + 1 for key in keys],
+        [short] + mixed,
+        [short + 1] + mixed,
+        # more draws than one chunk, in chunks of different widths
+        [short] * (chunk // short + 7) + [3] * 300,
+    ]
+    for widths in blocks:
+        block_keys = keys[:len(widths)]
+        u = np.empty(sum(widths))
+        gen = scenarios._draw_streams(None, seed, block_keys, widths, u)
+        assert (gen is not None) == (max(widths) > short)
+        first = 0
+        for key, width in zip(block_keys.tolist(), widths):
+            want = np.random.Generator(np.random.PCG64(
+                np.random.SeedSequence(entropy=seed, spawn_key=(key,)))).random(width)
+            assert np.array_equal(u[first:first + width], want), f"key {key}, width {width}"
+            first += width
 
 
 def _band_tables(rng):
@@ -487,6 +515,12 @@ def test_rollouts_build_no_generator_per_sample(monkeypatch):
         counts.append(dict(built))
     assert counts[0] == counts[1]
     assert sum(counts[1].values()) <= 3, counts
+    # every sir stream has at most 16 draws, so no generator is built at all
+    person, init, c_person = health_person(HealthParams(model="sir"))
+    built.clear()
+    compare_report(person, init, c_person, sample_horizons(1, 15, 8, 500, 0), 4.0, 0,
+                   population=5)
+    assert built == {}
 
 
 def test_compare_report_rollout_memory_is_blocked():
