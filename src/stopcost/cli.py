@@ -15,13 +15,18 @@ Model files are JSON with fields kind ("markov" or "gas"), n, matrix
 projection operators and cost_offset produced by `convert`. Nominal
 distributions are two-column CSV (t, probability) with an optional header.
 All results are written as CSV with 12-significant-digit reals, buffered so
-failures produce no partial output. Exit codes: 0 success, 1 computational
-failure, 2 invalid input.
+failures produce no partial output; an `--out` path that cannot be written
+is invalid input. Exit codes: 0 success, 1 computational failure, 2 invalid
+input.
+
+`main` parses with one parser per process: the first call builds it and
+later calls reuse it. `build_parser` still returns a fresh parser.
 """
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 import time
@@ -320,20 +325,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The parser depends on no input, so one per process serves every call.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    out = getattr(args, "out", None)
     try:
         text = args.run(args)
+        if out:
+            with open(out, "w") as fh:
+                fh.write(text)
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if getattr(args, "out", None):
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
+    if not out:
         sys.stdout.write(text)
     return 0
 

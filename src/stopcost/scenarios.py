@@ -330,17 +330,33 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
 
 
-def _hashmix(value: np.ndarray, hash_const: int) -> tuple[np.ndarray, int]:
-    """SeedSequence's hashmix on a uint32 array; returns it and the next constant."""
-    value = value ^ np.uint32(hash_const)
+def _hashmix(value: int, hash_const: int) -> tuple[int, int]:
+    """SeedSequence's hashmix on one uint32 word; returns it and the next constant."""
+    value ^= hash_const
     hash_const = hash_const * _MULT_A & _MASK32
-    value = value * np.uint32(hash_const)
-    return value ^ (value >> np.uint32(_XSHIFT)), hash_const
+    value = value * hash_const & _MASK32
+    return value ^ value >> _XSHIFT, hash_const
 
 
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
-    return result ^ (result >> np.uint32(_XSHIFT))
+def _mix(x: int, y: int) -> int:
+    result = (x * _MIX_MULT_L - y * _MIX_MULT_R) & _MASK32
+    return result ^ result >> _XSHIFT
+
+
+def _hash_consts(hash_const: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The XOR and multiplier constants of `count` successive hashes from
+    `hash_const` on, as uint32 arrays: each hash multiplies by the constant
+    that the next one XORs with."""
+    consts = [hash_const]
+    for _ in range(count):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts[:-1], dtype=np.uint32), np.array(consts[1:], dtype=np.uint32)
+
+
+# generate_state cycles over the pool for 8 uint32 words, hashed from _INIT_B on
+_OUT_POOL_INDEX = np.arange(2 * _POOL_SIZE) % _POOL_SIZE
+_OUT_XOR, _OUT_MULT = _hash_consts(_INIT_B, _MULT_B, 2 * _POOL_SIZE)
+_U32_XSHIFT = np.uint32(_XSHIFT)
 
 
 def _stream_words(seed: int, keys: np.ndarray) -> np.ndarray:
@@ -349,17 +365,16 @@ def _stream_words(seed: int, keys: np.ndarray) -> np.ndarray:
 
     The entropy is the seed's uint32 words, least significant first and
     zero-padded to the pool size, then the key (one word: sample indices stay
-    below 2**32). The pool is mixed as SeedSequence mixes it, on uint32 arrays
-    that wrap silently: the seed's words on one-element arrays, so only the
-    last round, the key's, and the output hashing run once per key.
+    below 2**32). The pool is mixed as SeedSequence mixes it. The seed's
+    rounds do not depend on the key, so they run once, on Python ints masked
+    to 32 bits. Only the last round, the key's, and the output hashing run on
+    keys.size x 4 uint32 arrays, whose products wrap silently.
     """
     n_words = max(_POOL_SIZE, -(-seed.bit_length() // 32))
-    keys = np.asarray(keys).astype(np.uint32)
-    entropy = [np.array([seed >> 32 * i & _MASK32], dtype=np.uint32)
-               for i in range(n_words)] + [keys]
+    words = [seed >> 32 * i & _MASK32 for i in range(n_words)]
     hash_const = _INIT_A
     pool = []
-    for word in entropy[:_POOL_SIZE]:
+    for word in words[:_POOL_SIZE]:
         value, hash_const = _hashmix(word, hash_const)
         pool.append(value)
     for src in range(_POOL_SIZE):
@@ -367,20 +382,22 @@ def _stream_words(seed: int, keys: np.ndarray) -> np.ndarray:
             if src != dst:
                 value, hash_const = _hashmix(pool[src], hash_const)
                 pool[dst] = _mix(pool[dst], value)
-    for word in entropy[_POOL_SIZE:]:
+    for word in words[_POOL_SIZE:]:
         for dst in range(_POOL_SIZE):
             value, hash_const = _hashmix(word, hash_const)
             pool[dst] = _mix(pool[dst], value)
-    # generate_state cycles over the pool for 8 uint32 words, read in pairs
-    # as little-endian uint64s
-    hash_const = _INIT_B
-    state = np.empty((keys.size, 2 * _POOL_SIZE), dtype="<u4")
-    for i in range(2 * _POOL_SIZE):
-        value = pool[i % _POOL_SIZE] ^ np.uint32(hash_const)
-        hash_const = hash_const * _MULT_B & _MASK32
-        value = value * np.uint32(hash_const)
-        state[:, i] = value ^ (value >> np.uint32(_XSHIFT))
-    return state.view("<u8")
+    # the key round: column dst mixes pool[dst] with the key's dst-th hash
+    key_xor, key_mult = _hash_consts(hash_const, _MULT_A, _POOL_SIZE)
+    keys = np.asarray(keys).astype(np.uint32)[:, None]
+    value = (keys ^ key_xor) * key_mult
+    value ^= value >> _U32_XSHIFT
+    mixed = (np.array(pool, dtype=np.uint32) * np.uint32(_MIX_MULT_L)
+             - value * np.uint32(_MIX_MULT_R))
+    mixed ^= mixed >> _U32_XSHIFT
+    # the output words, read in pairs as little-endian uint64s
+    value = (mixed[:, _OUT_POOL_INDEX] ^ _OUT_XOR) * _OUT_MULT
+    value ^= value >> _U32_XSHIFT
+    return np.ascontiguousarray(value, dtype="<u4").view("<u8")
 
 
 def _pcg_jumps(count: int) -> tuple[np.ndarray, ...]:

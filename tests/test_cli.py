@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -10,7 +11,7 @@ import pytest
 import scipy.linalg
 
 import stopcost
-from stopcost.cli import main
+from stopcost.cli import build_parser, main
 from stopcost.finite_horizon import CostSequence, cost_sequence_naive
 from stopcost.scenarios import ComparisonReport, CsocParams, HealthParams, build_csoc_overtime, \
     build_health_chain
@@ -559,3 +560,64 @@ def test_failure_writes_nothing(tmp_path, capsys):
 def test_missing_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit):
         main([])
+
+
+@pytest.mark.parametrize("target", ["missing/result.csv", "."])
+def test_unwritable_out_is_invalid_input(target, tmp_path, capsys):
+    model = write_json(tmp_path / "scalar.json", SCALAR_GAS)
+    code, out, err = run_cli(capsys, "rce", "--model", model, "--horizon", "5",
+                             "--out", str(tmp_path / target))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "missing").exists()
+
+
+def test_main_keeps_no_state_between_calls(tmp_path, capsys):
+    model = write_json(tmp_path / "scalar.json", SCALAR_GAS)
+    out_path = tmp_path / "result.csv"
+    assert run_cli(capsys, "rce", "--model", model, "--horizon", "5",
+                   "--out", str(out_path)) == (0, "", "")
+    written = out_path.read_text()
+    code, out, _ = run_cli(capsys, "rce", "--model", model, "--horizon", "5")
+    assert code == 0 and out == written
+    assert out_path.read_text() == written
+
+    nominal = tmp_path / "nominal.csv"
+    nominal.write_text("1,0.5\n2,0.5\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["drce", "--model", model, "--nominal", str(nominal)])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, err = run_cli(capsys, "drce", "--model", model,
+                             "--nominal", str(nominal), "--radius", "0.1")
+    assert code == 0 and err == ""
+    assert out.startswith("value,case_used\n")
+
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == build_parser().format_help()
+
+
+def test_main_builds_no_parser_after_the_first_call(tmp_path, capsys, monkeypatch):
+    model = write_json(tmp_path / "scalar.json", SCALAR_GAS)
+    nominal = tmp_path / "nominal.csv"
+    nominal.write_text("1,0.5\n2,0.5\n")
+    calls = [
+        ["rce", "--model", model, "--horizon", "5"],
+        ["drce", "--model", model, "--nominal", str(nominal), "--radius", "0.1"],
+        ["rce-inf", "--model", model],
+        ["drce-geom", "--model", model, "--rho", "0.5", "--radius", "0.5"],
+        ["scenario", "sir", "--samples", "5"],
+    ]
+    assert main(calls[0]) == 0
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert [main(argv) for argv in calls] == [0] * len(calls)
+    assert built == []
