@@ -98,16 +98,22 @@ def _require(model: ModelFile, name: str) -> np.ndarray:
 
 
 def load_nominal(path: str) -> np.ndarray:
-    """Two-column CSV (t, probability) -> dense nominal vector on 1..max t."""
+    """Two-column CSV (t, probability) -> dense nominal vector on 1..max t.
+
+    Only the first non-blank row may be a header: a later row whose t is not
+    an integer is an error."""
     entries: dict[int, float] = {}
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or not row[0].strip():
-                continue
+        reader = csv.reader(fh)
+        rows = (row for row in reader if row and row[0].strip())
+        for index, row in enumerate(rows):
             try:
                 t = int(row[0])
             except ValueError:
-                continue            # header line
+                if index == 0:
+                    continue        # header line
+                raise ValueError(f"{path}: line {reader.line_num} ({','.join(row)!r}) "
+                                 f"has a non-integer stopping time") from None
             if len(row) < 2:
                 raise ValueError(f"{path}: row for t={t} lacks a probability column")
             if t < 1:

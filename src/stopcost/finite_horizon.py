@@ -80,8 +80,8 @@ def cost_sequence_strided(m, x0, c, horizon: int) -> CostSequence:
     table = bwd @ fwd.T                  # table[j, i] = <(M^T)^j c, M^{iB} x0>
     out = np.empty(horizon)
     square = big_stride * big_stride
-    ts = np.arange(1, square + 1)
-    out[:square] = table[ts % big_stride, ts // big_stride]
+    # t = iB + j is entry t of table.T read in C order
+    out[:square] = table.T.ravel()[1:square + 1]
 
     v = fwd[big_stride]
     for t in range(square, horizon):

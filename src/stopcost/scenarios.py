@@ -26,22 +26,29 @@ the PCG64 recurrence, as M^j times the start state plus (M^(j-1) + ... + 1)
 times the increment mod 2**128, and no generator is built. A block with a
 longer stream (csoc's streams reach 242 draws) sets each stream's start state
 on one reused generator and draws it there, which is the cheaper way for long
-streams. Both give numpy's draws bit for bit. Each step bisects only the
-support band of the walker's cumulative column, the rows between its last
-zero entry and its total, so the search costs the bit length of the widest
-band rather than of the state count.
+streams. Both give numpy's draws bit for bit.
+
+Each step is the table-lookup form of inverse-transform sampling. Once per
+call, each cumulative column's support band (the rows between its last zero
+entry and its total) is padded with the column total to a common width. A
+branch-free search of about log2(widest band) halvings finds the walker's
+slot, with no bound check per level: a draw at or past the total counts
+every slot, so it lands on the last one, which holds the clamp to the last
+state. The next state, and for a population the rescale of the draw, are
+read off tables at that same slot.
 
 A population rollout still takes one uniform per joint step and decodes it
 person by person, in the Kronecker order (person 0 the most significant
-digit): the person's next state j is found on the per-person cumulative
+digit): the person's next state j is looked up on the per-person cumulative
 column F, and the uniform is rescaled to (u - F(j-1)) / (F(j) - F(j-1)) for
-the next person. This picks the same joint state as the dense cumulative
-column of the Kronecker chain, except for a draw that falls within the
-accumulated rounding of a block boundary (about k^N ulps). The decode is
-limited by the 53 bits of that one uniform, as the dense table is: each
-person's rescale spends -log2 of the probability of the step it took, about
-one bit on average for the SIR/SVIR chains, so beyond a few dozen persons the
-later ones are no longer resolved by the draw. Populations in the hundreds
+the next person, with both bounds read off the band tables. This picks the
+same joint state as the dense cumulative column of the Kronecker chain,
+except for a draw that falls within the accumulated rounding of a block
+boundary (about k^N ulps). The decode is limited by the 53 bits of that one
+uniform, as the dense table is: each person's rescale spends -log2 of the
+probability of the step it took, about one bit on average for the SIR/SVIR
+chains, so beyond a few dozen persons the later ones are no longer resolved
+by the draw. Populations in the hundreds
 would need a draw per person, which would change every rollout.
 """
 from __future__ import annotations
@@ -310,8 +317,7 @@ def sample_horizons(lo: int, hi: int, mean: int, k: int, seed: int) -> list[int]
     )
     weights = weights / weights.sum()
     rng = np.random.default_rng(seed)
-    draws = rng.choice(ts, size=k, p=weights)
-    return [int(t) for t in draws]
+    return rng.choice(ts, size=k, p=weights).tolist()
 
 
 # Samples are rolled out in blocks whose pre-drawn uniforms fill at most about
@@ -512,45 +518,79 @@ def _draw_streams(gen: np.random.Generator | None, seed: int, keys: np.ndarray,
     return gen
 
 
-def _support_band(cum_flat: np.ndarray, n: int,
-                  stride: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Each column's support band in the n x stride cumulative table.
+@dataclass(frozen=True)
+class _BandTable:
+    """Lookup tables for inverse-transform steps on an n x stride table of
+    nondecreasing cumulative columns F_s. Each table is flat, with slot c of
+    column s at index s * slots + c.
 
-    Entries <= 0 form a prefix of a column, and entries equal to its total a
-    suffix; the rows between are the band. Returns the flat indices of each
-    column's first band row `lo` and first total row `hi` (lo <= hi), the
-    totals, and the bisection depth, the bit length of the widest band.
+    Column s's support band is its rows lo <= r < hi, where lo counts its
+    entries <= 0 and hi is its first row equal to the total. The bound table
+    holds the band's w entries in slots 1..w and the total in the later
+    slots; slot 0 is never read. For a draw u, the search (`levels`, one
+    (half, bound[half:]) pair per halving) ends at index s * slots + count,
+    where count is the number of slots <= u: the band entries <= u while u is
+    below the total, and slots - 1 once u reaches it.
+
+    At that index, `next_at` holds j * next_slots, the offset in the next
+    step's table of the state j = min(searchsorted(F_s, u, side="right"),
+    n - 1). For a population, `below` and `width` hold F_s(j - 1) (0 for
+    j = 0) and F_s(j) - F_s(j - 1), and `floor` holds -inf. Where that width
+    is 0 they hold inf, 1 and 1 instead, so max((u - below) / width, floor)
+    is 1 there.
     """
-    cum = cum_flat[:n * stride].reshape(n, stride)
+
+    levels: tuple[tuple[int, np.ndarray], ...]
+    next_at: np.ndarray
+    below: np.ndarray | None
+    width: np.ndarray | None
+    floor: np.ndarray | None
+    slots: int
+
+
+def _band_table(cum: np.ndarray, rescale: bool, next_slots: int | None = None) -> _BandTable:
+    """The `_BandTable` of the n x stride table cum, with the rescale tables
+    only if `rescale`; next states are offsets in a table of `next_slots`
+    slots per column (by default this one).
+
+    A column with a band of w rows has w + 1 outcomes below its total, and
+    the clamp, a slot of its own unless the band ends at row n - 1: then the
+    count w already picks that state, with the same bounds. `slots` is the
+    most outcomes of any column, searched in bit_length(slots - 1) halvings.
+    """
+    n, stride = cum.shape
     total = cum[-1]
-    hi = (cum < total).sum(axis=0)
-    lo = np.minimum((cum <= 0.0).sum(axis=0), hi)
-    cols = np.arange(stride)
-    return lo * stride + cols, hi * stride + cols, total, int((hi - lo).max()).bit_length()
-
-
-def _next_states(cum_flat: np.ndarray, n: int, state: np.ndarray,
-                 u: np.ndarray, stride: int, *, band: tuple) -> np.ndarray:
-    """Vectorized `min(searchsorted(cum[:, s], u, side="right"), n - 1)` for u >= 0.
-
-    cum_flat is the C-ordered n x stride array of nondecreasing cumulative
-    columns, and `band` its `_support_band`. A draw u >= the column total
-    takes the clamp to n - 1. Below it, every entry <= 0 counts and no entry
-    equal to the total does, so the count of entries <= u is lo plus that of
-    the band's rows, which bisection finds in `depth` levels rather than
-    bit_length(n): one for the csoc overtime chain, where a column holds two
-    states. A probe is clamped to row hi, whose entry (the total) exceeds u;
-    `off` ends at the flat index of row `count`.
-    """
-    lo_at, hi_at, total, depth = band
-    off = lo_at[state]
-    last = hi_at[state]
-    step = 1 << depth >> 1
-    while step:
-        probe = np.minimum(off + (step - 1) * stride, last)
-        off = np.where(cum_flat[probe] <= u, probe + stride, off)
-        step >>= 1
-    return np.where(u < total[state], off // stride, n - 1)
+    hi = np.count_nonzero(cum < total, axis=0)[:, None]
+    lo = np.minimum(np.count_nonzero(cum <= 0.0, axis=0)[:, None], hi)
+    slots = int((hi - lo + (hi < n - 1)).max()) + 1
+    cols = np.arange(stride)[:, None]
+    slot = np.arange(slots)
+    # The flat index of slot c's entry: row lo + c - 1 of its column, or row
+    # hi (the total) past the band. Slot 0's is negative where lo = 0, and
+    # mode="clip" reads index 0 there. One buffer serves both tables, since
+    # a dense chain's tables hold about n^2 slots.
+    at = np.add((lo - 1) * stride + cols, slot * stride)
+    np.minimum(at, hi * stride + cols, out=at)
+    bound = cum.take(at, mode="clip").ravel()
+    nxt = at                                        # each slot's next state:
+    np.add(lo, slot, out=nxt)
+    np.copyto(nxt, n - 1, where=slot > hi - lo)     # the clamp past the band
+    below = width = floor = None
+    if rescale:
+        below = np.where(nxt > 0, cum[nxt - 1, cols], 0.0)
+        width = cum[nxt, cols] - below
+        empty = width <= 0.0
+        below[empty], width[empty] = np.inf, 1.0
+        floor = np.where(empty, 1.0, -np.inf).ravel()
+        below, width = below.ravel(), width.ravel()
+    nxt *= slots if next_slots is None else next_slots
+    levels = []
+    length = slots
+    while length > 1:
+        half = length // 2
+        levels.append((half, bound[half:]))
+        length -= half
+    return _BandTable(tuple(levels), nxt.ravel(), below, width, floor, slots)
 
 
 def _cumulative_columns(a: np.ndarray) -> np.ndarray:
@@ -565,11 +605,10 @@ def _cumulative_columns(a: np.ndarray) -> np.ndarray:
     return cum
 
 
-def _decode(cum_flat: np.ndarray, n: int, stride: int, state: np.ndarray,
-            u: np.ndarray, *, band: tuple) -> None:
-    """Step every person for one draw per walker, in place: row d of `state`
-    is person d's state, the column it reads of the n x stride table (whose
-    `_support_band` is `band`).
+def _decode(table: _BandTable, at: np.ndarray, u: np.ndarray) -> None:
+    """Step every person for one draw per walker, in place: row d of `at`
+    holds person d's state j as j * table.slots, the offset of the column of
+    `table` that the person reads.
 
     Person 0 is the most significant digit, as in np.kron. Each person takes
     the state j its own column selects for the draw, and the draw is then
@@ -577,18 +616,18 @@ def _decode(cum_flat: np.ndarray, n: int, stride: int, state: np.ndarray,
     where that block is empty (the draw was clamped into a zero-probability
     state), so the later persons clamp too.
     """
-    for d in range(state.shape[0]):
-        j = _next_states(cum_flat, n, state[d], u, stride, band=band)
-        if d + 1 < state.shape[0]:
-            at = j * stride + state[d]
-            lo = np.where(j > 0, cum_flat[at - stride], 0.0)
-            width = cum_flat[at] - lo
-            u = np.divide(u - lo, width, out=np.ones_like(u), where=width > 0)
-        state[d] = j
+    for d in range(at.shape[0]):
+        pos = at[d]
+        for half, bound in table.levels:      # bound[pos] is slot pos + half
+            passed = bound[pos] <= u
+            pos = pos + passed if half == 1 else pos + half * passed   # one call fewer at 1
+        if d + 1 < at.shape[0]:
+            u = np.maximum((u - table.below[pos]) / table.width[pos], table.floor[pos])
+        at[d] = table.next_at[pos]
 
 
 def _rollout_costs(cum_cols: np.ndarray, cum_x0: np.ndarray, c: np.ndarray,
-                   samples: list[int], copies: int, seed: int,
+                   samples: np.ndarray | list[int], copies: int, seed: int,
                    digits: int) -> np.ndarray:
     """Realized cost at each sampled stopping time, summed over the copies.
 
@@ -601,9 +640,11 @@ def _rollout_costs(cum_cols: np.ndarray, cum_x0: np.ndarray, c: np.ndarray,
     than 32 draws, and otherwise draws each stream through one generator,
     built for the first such block and reused. All walkers of
     a block step together, longest first so the walkers still moving form a
-    prefix, each bisecting only its column's support band (`_next_states`);
-    the states, and hence the costs, are bit-identical to drawing and
-    stepping one copy at a time with a fresh generator per sample.
+    prefix. Each step looks its draw up in the band tables of the step
+    matrix (`_band_table`, built once per call; x0's law is a one-column
+    table), and a walker's state is kept as its column's offset in those
+    tables. The states, and hence the costs, are bit-identical to drawing
+    and stepping one copy at a time with a fresh generator per sample.
 
     With digits = N > 1 the tables describe one person and a walker is N
     persons, its cost the sum of theirs. Each draw is decoded digit by digit
@@ -611,10 +652,9 @@ def _rollout_costs(cum_cols: np.ndarray, cum_x0: np.ndarray, c: np.ndarray,
     barring draws within about k^N ulps of a block boundary; the 53 bits of
     that draw bound N (see the module docstring).
     """
-    n = c.shape[0]
-    cum_flat = cum_cols.ravel()
-    step_band = _support_band(cum_flat, n, n)
-    x0_band = _support_band(cum_x0, n, 1)
+    step_table = _band_table(cum_cols, digits > 1)
+    # x0's law as a one-column table whose states are offsets in step_table
+    x0_table = _band_table(cum_x0.reshape(-1, 1), digits > 1, step_table.slots)
     gen = None
     ts = np.asarray(samples, dtype=np.intp)
     block = max(1, _ROLLOUT_BLOCK_DRAWS // (copies * (int(ts.max()) + 1)))
@@ -627,16 +667,17 @@ def _rollout_costs(cum_cols: np.ndarray, cum_x0: np.ndarray, c: np.ndarray,
         starts = np.cumsum(widths) - widths
         u = np.empty(int(widths.sum()))
         gen = _draw_streams(gen, seed, ids, widths.tolist(), u)
-        # walker a * copies + r is copy r of sample ids[a]; state[d] is person d
+        # walker a * copies + r is copy r of sample ids[a]; at[d] is person d's
+        # state j as its column's offset j * step_table.slots
         base = (starts[:, None] + np.arange(copies) * (t + 1)[:, None]).ravel()
-        state = np.zeros((digits, base.size), dtype=np.intp)
-        _decode(cum_x0, n, 1, state, u[base], band=x0_band)  # x0's law as a one-column table
+        at = np.zeros((digits, base.size), dtype=np.intp)
+        _decode(x0_table, at, u[base])
         # moving[j - 1] counts the walkers with t >= j, a prefix as t descends
         moving = np.searchsorted(-np.repeat(t, copies), -np.arange(1, t[0] + 1),
                                  side="right")
         for step, k in enumerate(moving.tolist(), start=1):
-            _decode(cum_flat, n, n, state[:, :k], u[base[:k] + step], band=step_band)
-        walker_cost = c[state].sum(axis=0).reshape(-1, copies)
+            _decode(step_table, at[:, :k], u[base[:k] + step])
+        walker_cost = c[at // step_table.slots].sum(axis=0).reshape(-1, copies)
         total = np.zeros(ids.size)
         for r in range(copies):     # in copy order, so rounding matches a running sum
             total += walker_cost[:, r]
@@ -660,7 +701,8 @@ def compare_report(m, x0, c, samples, xi: float, seed: int, *,
     vectorized replica of numpy's SeedSequence/PCG64 seeding computes for the
     whole block: as arrays from the PCG64 recurrence when no stream of the
     block is longer than 32 draws, else through one reused generator. Each
-    step bisects only the support band of its column. The percentages are
+    step reads its next state off per-column band tables built once per
+    call, by a search over the widest support band. The percentages are
     bit-identical to sequential per-sample draws from fresh generators. The
     matrix is checked as `stationary` checks it. The seed must be a
     non-negative integer, and the samples and support_max integers: a float
@@ -682,10 +724,14 @@ def compare_report(m, x0, c, samples, xi: float, seed: int, *,
         raise ValueError("dimension mismatch between matrix, state, and cost")
     if np.any(x < -DEFAULT_TOLS.entry_clamp) or abs(x.sum() - 1.0) > DEFAULT_TOLS.column_sum:
         raise ValueError("x0 must be a probability distribution for rollouts")
-    samples = [_as_int(t, "samples must be integers") for t in samples]
-    if not samples:
+    ts = np.asarray(samples)
+    if ts.ndim != 1 or ts.dtype.kind not in "biu":
+        # a sample that is no integer raises here, named in the message
+        ts = np.array([_as_int(t, "samples must be integers") for t in samples], dtype=np.intp)
+    if ts.size == 0:
         raise ValueError("samples must be non-empty")
-    if any(t < 1 for t in samples):
+    ts = ts.astype(np.intp, copy=False)
+    if ts.min() < 1:
         raise ValueError("stopping times must be >= 1")
     if copies < 1:
         raise ValueError("copies must be >= 1")
@@ -693,14 +739,15 @@ def compare_report(m, x0, c, samples, xi: float, seed: int, *,
         raise ValueError("population must be >= 1")
     seed = _checked_seed(seed)
 
-    k = len(samples)
-    t_hat = int(round(sum(samples) / k))
-    horizon = max(samples) if support_max is None else \
+    k = ts.size
+    t_hat = int(round(int(ts.sum()) / k))
+    t_max = int(ts.max())
+    horizon = t_max if support_max is None else \
         _as_int(support_max, "support_max must be an integer")
-    if horizon < max(samples):
+    if horizon < t_max:
         raise ValueError("support_max is below the largest sample")
 
-    counts = np.bincount(np.asarray(samples), minlength=horizon + 1)
+    counts = np.bincount(ts, minlength=horizon + 1)
     p_hat = counts[1:horizon + 1] / k
     g = cost_sequence_strided(a, x, cv, horizon).values * (copies * population)
     empirical = float(g[t_hat - 1])
@@ -709,7 +756,7 @@ def compare_report(m, x0, c, samples, xi: float, seed: int, *,
 
     cum_cols = _cumulative_columns(a)
     cum_x0 = np.cumsum(np.clip(x, 0.0, None))
-    costs = _rollout_costs(cum_cols, cum_x0, cv, samples, copies, seed, population)
+    costs = _rollout_costs(cum_cols, cum_x0, cv, ts, copies, seed, population)
     pct_emp = 100.0 * float(np.mean(costs > empirical))
     pct_rob = 100.0 * float(np.mean(costs > robust))
     return ComparisonReport(empirical, robust, pct_emp, pct_rob,

@@ -150,6 +150,21 @@ def test_drce_rejects_nonfinite_radius(tmp_path, capsys):
         assert code == 2 and out == "" and "radius" in err
 
 
+@pytest.mark.parametrize("text,line", [
+    ("1,0.25\nt,p\n2,0.5\nx,0.1\n3,0.25\n", 2),     # a header only on the first row
+    ("t,p\n1,0.5\n2.5,0.5\n", 3),                     # a fractional t is not dropped
+    ("t,p\n\n1,0.5\nx,0.5\n", 4),                     # line numbers count blank lines
+])
+def test_drce_rejects_a_non_integer_t_past_the_first_row(text, line, tmp_path, capsys):
+    model = write_json(tmp_path / "scalar.json", SCALAR_GAS)
+    nominal = tmp_path / "nominal.csv"
+    nominal.write_text(text)
+    code, out, err = run_cli(capsys, "drce", "--model", model, "--nominal", str(nominal),
+                             "--radius", "0.1")
+    assert code == 2 and out == ""
+    assert f"line {line} " in err and "non-integer stopping time" in err
+
+
 def test_drce_rejects_duplicate_rows(tmp_path, capsys):
     model = write_json(tmp_path / "scalar.json", SCALAR_GAS)
     nominal = tmp_path / "nominal.csv"

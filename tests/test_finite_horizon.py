@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from stopcost.finite_horizon import (
     cost_sequence_strided,
     rce_finite,
 )
+
+from stopcost.matrix_core import mat_pow
 
 from helpers import random_stable
 
@@ -60,6 +64,42 @@ def test_strided_perfect_square_horizon():
         np.testing.assert_allclose(
             cost_sequence_strided(m, x0, c, horizon).values,
             cost_sequence_naive(m, x0, c, horizon).values, atol=1e-11)
+
+
+def _strided_read_by_modulus(m, x0, c, horizon):
+    """The square-root stride evaluator with its table read entry by entry,
+    g(t) = table[t % B, t // B] for t <= B^2, in the same float operations."""
+    big_stride = math.isqrt(horizon)
+    n = m.shape[0]
+    m_big = mat_pow(m, big_stride)
+    fwd = np.empty((big_stride + 1, n))
+    fwd[0] = x0
+    for i in range(1, big_stride + 1):
+        fwd[i] = m_big @ fwd[i - 1]
+    bwd = np.empty((big_stride, n))
+    bwd[0] = c
+    at = m.T
+    for j in range(1, big_stride):
+        bwd[j] = at @ bwd[j - 1]
+    table = bwd @ fwd.T
+    square = big_stride * big_stride
+    ts = np.arange(1, square + 1)
+    out = np.empty(horizon)
+    out[:square] = table[ts % big_stride, ts // big_stride]
+    v = fwd[big_stride]
+    for t in range(square, horizon):
+        v = m @ v
+        out[t] = c @ v
+    return out
+
+
+def test_strided_table_read_equals_modular_indexing():
+    rng = np.random.default_rng(109)
+    m = random_stable(rng, 6)
+    x0, c = rng.standard_normal(6), rng.standard_normal(6)
+    for horizon in [*range(4, 200), 999, 1000, 1024, 4096, 100_000]:
+        got = cost_sequence_strided(m, x0, c, horizon).values
+        assert np.array_equal(got, _strided_read_by_modulus(m, x0, c, horizon)), horizon
 
 
 def test_rce_picks_earliest_maximum():

@@ -397,6 +397,15 @@ def test_cumulative_columns_equal_clipped_cumsum():
         assert np.array_equal(scenarios._cumulative_columns(a), want)
 
 
+def _table_steps(cum, state, u):
+    """The states `_decode` steps to on the band table of cum, as column
+    indices: row d of `state` is person d's column, and u the draws."""
+    table = scenarios._band_table(cum, state.shape[0] > 1)
+    at = state * table.slots
+    scenarios._decode(table, at, u)
+    return at // table.slots
+
+
 def test_next_states_matches_searchsorted_on_exact_ties():
     # Seeded draws almost never equal a cumulative value, so ties with the
     # draw itself are set up here directly.
@@ -410,9 +419,7 @@ def test_next_states_matches_searchsorted_on_exact_ties():
         u[:4] = (0.0, 0.95, 1.0 - 2.0 ** -53, cum[-1, state[3]])
         want = [min(int(np.searchsorted(cum[:, s], v, side="right")), n - 1)
                 for s, v in zip(state, u)]
-        flat = cum.ravel()
-        band = scenarios._support_band(flat, n, n)
-        assert scenarios._next_states(flat, n, state, u, n, band=band).tolist() == want
+        assert _table_steps(cum, state[None], u)[0].tolist() == want
 
 
 # Seeds at the boundaries of their uint32 word count, which sets how
@@ -484,16 +491,48 @@ def test_next_states_band_search_matches_searchsorted():
         u[210:216] = (0.0, 1.0, 1.0 - 2.0 ** -53, 0.0, 1.0, 0.5)     # u = 1: _decode's width-0 rule
         want = [min(int(np.searchsorted(cum[:, s], v, side="right")), n - 1)
                 for s, v in zip(state, u)]
-        flat = cum.ravel()
-        band = scenarios._support_band(flat, n, stride)
-        assert scenarios._next_states(flat, n, state, u, stride, band=band).tolist() == want, name
+        assert _table_steps(cum, state[None], u)[0].tolist() == want, name
 
 
-def test_csoc_overtime_steps_bisect_one_level():
-    # each overtime column holds two states, so its band is one row wide
+def _scalar_decode(cum, state, u):
+    """Each walker's persons in turn: j = min(searchsorted(F, u, side="right"),
+    n - 1) on the person's column F, then u -> (u - F(j-1)) / (F(j) - F(j-1)),
+    or 1 where that width is 0."""
+    n = cum.shape[0]
+    out = state.copy()
+    for w, v in enumerate(u.tolist()):
+        for d in range(state.shape[0]):
+            col = cum[:, state[d, w]]
+            j = min(int(np.searchsorted(col, v, side="right")), n - 1)
+            below = float(col[j - 1]) if j > 0 else 0.0
+            width = float(col[j]) - below
+            v = (v - below) / width if width > 0 else 1.0
+            out[d, w] = j
+    return out
+
+
+def test_decode_ties_with_the_total_match_a_scalar_decode():
+    # A draw tied with the total of person 0's column takes the clamp, and
+    # its rescale carries on to the later persons.
+    rng = np.random.default_rng(2025)
+    for name, cum in _band_tables(rng):
+        n, stride = cum.shape
+        if stride != n:
+            continue
+        state = rng.integers(0, n, size=(3, 200))
+        u = rng.random(200)
+        u[:100] = cum[-1, state[0, :100]]
+        got = _table_steps(cum, state, u)
+        assert np.array_equal(got, _scalar_decode(cum, state, u)), name
+
+
+def test_csoc_overtime_band_is_one_row_wide():
+    # each overtime column holds two states, so its band is one row wide: the
+    # table has slot 0, that row and the clamp, and a step takes two halvings
     m, _, _ = build_csoc_overtime(CsocParams())
-    n = m.shape[0]
-    assert scenarios._support_band(scenarios._cumulative_columns(m).ravel(), n, n)[3] == 1
+    table = scenarios._band_table(scenarios._cumulative_columns(m), False)
+    assert table.slots == 3
+    assert [half for half, _ in table.levels] == [1, 1]
 
 
 def test_rollouts_build_no_generator_per_sample(monkeypatch):
@@ -587,9 +626,7 @@ def test_decode_picks_the_dense_kronecker_state(k, population):
     place = k ** np.arange(population - 1, -1, -1)
     want = [min(int(np.searchsorted(dense[:, s], v, side="right")), k ** population - 1)
             for s, v in zip(place @ state, u)]
-    flat = np.cumsum(m, axis=0).ravel()
-    scenarios._decode(flat, k, k, state, u, band=scenarios._support_band(flat, k, k))
-    assert (place @ state).tolist() == want
+    assert (place @ _table_steps(np.cumsum(m, axis=0), state, u)).tolist() == want
 
 
 def test_decode_clamps_every_person_past_a_short_column():
@@ -599,9 +636,26 @@ def test_decode_clamps_every_person_past_a_short_column():
     m = np.array([[0.5, 0.3, 0.2], [0.5, 0.7, 0.8], [0.0, 0.0, 0.0]]) * (1.0 - 1e-12)
     state = np.array([[0, 1, 2], [1, 2, 0], [2, 0, 1]])
     u = np.full(3, 1.0 - 2.0 ** -53)
-    flat = np.cumsum(m, axis=0).ravel()
-    scenarios._decode(flat, 3, 3, state, u, band=scenarios._support_band(flat, 3, 3))
-    assert np.array_equal(state, np.full((3, 3), 2))
+    assert np.array_equal(_table_steps(np.cumsum(m, axis=0), state, u), np.full((3, 3), 2))
+
+
+def test_decode_clamps_every_person_after_a_rescaled_one():
+    # Every entry is a short binary fraction, so the sums are exact. Column 0
+    # totals 0.75 and the others exactly 1.0. A draw of 0.75 from state 0 ties
+    # its total: person 0 clamps into the block [0.5, 0.75) of state 2, which
+    # rescales the draw to exactly 1.0. That ties each later column's total,
+    # so every later person clamps too, and the dense Kronecker table also
+    # sends the draw to its last state.
+    m = np.array([[0.25, 0.5, 0.0], [0.25, 0.25, 0.5], [0.25, 0.25, 0.5]])
+    later = np.array(np.meshgrid(range(3), range(3), range(3))).reshape(3, -1)
+    state = np.vstack([np.zeros((1, later.shape[1]), dtype=int), later])
+    u = np.full(state.shape[1], 0.75)
+    dense = np.cumsum(np.kron(np.kron(np.kron(m, m), m), m), axis=0)
+    place = 3 ** np.arange(3, -1, -1)
+    want = [min(int(np.searchsorted(dense[:, s], v, side="right")), 3 ** 4 - 1)
+            for s, v in zip(place @ state, u)]
+    assert want == [3 ** 4 - 1] * state.shape[1]
+    assert (place @ _table_steps(np.cumsum(m, axis=0), state, u)).tolist() == want
 
 
 @pytest.mark.parametrize("population", [1, 2, 3, 4, 5])
