@@ -3,9 +3,11 @@
 The obvious recurrence walks the state forward one step at a time, touching
 the matrix T times. The square-root stride evaluator builds ~sqrt(T) forward
 states and ~sqrt(T) backward cost rows and recovers all T values from one
-table product. Both produce identical numbers; the stride pays off once the
-horizon is long. The script prints agreement and wall-clock for growing
-horizons, then reports the best single stopping time.
+table product. The two multiply in a different order, so they agree only to
+rounding; the stride pays off once the horizon is long (below max(4, states)
+`cost_sequence_strided` runs the recurrence itself). The script prints the
+largest difference and wall-clock for growing horizons, then reports the best
+single stopping time.
 
     $ python3 demos/horizon_scan.py --states 24 --seed 3
 """

@@ -4,7 +4,9 @@ Subcommands wrap the library: `convert` rewrites a Markov model file in
 mean-shifted coordinates, `rce`/`drce` run the finite-horizon estimators,
 `rce-inf` and `drce-geom` the unbounded-horizon ones, `scenario` reproduces
 the packaged queue/epidemic studies, and `bench` times the two cost-sequence
-algorithms and the two powering representations. The unbounded-horizon ones
+algorithms and the two powering representations. `rce`/`drce` take any
+column-stochastic Markov matrix and run `cost_sequence_strided` (bench's sabs
+column), the recurrence below horizon max(4, n). The unbounded-horizon ones
 run no eigensolver: stability is certified by squaring, `rce-inf` scans to a
 certified tail bound, and `drce-geom` maximizes the exact resolvent form of
 the geometric objective (`geometric_drce_exact`), reporting the Chebyshev
@@ -36,7 +38,7 @@ import numpy as np
 
 from .finite_horizon import CostSequence, cost_sequence_naive, cost_sequence_strided, rce_finite
 from .infinite_horizon import geometric_drce_exact, rce_infinite
-from .markov_gas import MarkovChain, project_state, to_gas, transfer_cost
+from .markov_gas import MarkovChain, _validate_transition, project_state, to_gas, transfer_cost
 from .matrix_core import certify_stable, mat_pow
 from .scenarios import CsocParams, HealthParams, build_csoc_overtime, \
     compare_report, health_person, sample_horizons
@@ -130,11 +132,9 @@ def load_nominal(path: str) -> np.ndarray:
     return nominal
 
 
-def _cost_sequence(model: ModelFile, horizon: int, algo: str) -> CostSequence:
-    fn = cost_sequence_naive if algo == "naive" else cost_sequence_strided
-    if model.kind == "markov":
-        MarkovChain.from_transition(model.matrix)    # validates the file
-    seq = fn(model.matrix, _require(model, "x0"), _require(model, "cost"), horizon)
+def _cost_sequence(model: ModelFile, horizon: int) -> CostSequence:
+    matrix = _validate_transition(model.matrix) if model.kind == "markov" else model.matrix
+    seq = cost_sequence_strided(matrix, _require(model, "x0"), _require(model, "cost"), horizon)
     if model.cost_offset != 0.0:
         seq = CostSequence(horizon, seq.values + model.cost_offset)
     return seq
@@ -167,7 +167,7 @@ def cmd_rce(args) -> str:
     model = load_model(args.model)
     if args.horizon < 1:
         raise ValueError("--horizon must be >= 1")
-    seq = _cost_sequence(model, args.horizon, args.algo)
+    seq = _cost_sequence(model, args.horizon)
     t_star, value = rce_finite(seq)
     return f"t_star,value\n{t_star},{_fmt(value)}\n"
 
@@ -175,7 +175,7 @@ def cmd_rce(args) -> str:
 def cmd_drce(args) -> str:
     model = load_model(args.model)
     nominal = load_nominal(args.nominal)
-    seq = _cost_sequence(model, nominal.shape[0], args.algo)
+    seq = _cost_sequence(model, nominal.shape[0])
     solution = drce_finite(seq, AmbiguitySet(nominal, args.radius))
     return f"value,case_used\n{_fmt(solution.value)},{solution.case_used}\n"
 
@@ -273,8 +273,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="stopcost",
         description="Robust cost estimation for linear systems with uncertain stopping times.")
     sub = parser.add_subparsers(dest="command", required=True)
-    algo_help = ("cost-sequence evaluator: the naive recurrence or the square-root "
-                 "stride scheme (default); they agree up to rounding, not bit for bit")
+    model_help = ("gas or markov model JSON; a markov matrix may be any column-stochastic one "
+                  "(costs by cost_sequence_strided: the recurrence below horizon max(4, n))")
 
     convert = sub.add_parser("convert", help="rewrite a Markov model in mean-shifted coordinates")
     convert.add_argument("--model", required=True, help="input markov model JSON")
@@ -282,17 +282,15 @@ def build_parser() -> argparse.ArgumentParser:
     convert.set_defaults(run=cmd_convert)
 
     rce = sub.add_parser("rce", help="best single stopping time over a finite horizon")
-    rce.add_argument("--model", required=True)
+    rce.add_argument("--model", required=True, help=model_help)
     rce.add_argument("--horizon", type=int, required=True)
-    rce.add_argument("--algo", choices=("naive", "sabs"), default="sabs", help=algo_help)
     rce.add_argument("--out")
     rce.set_defaults(run=cmd_rce)
 
     drce = sub.add_parser("drce", help="worst horizon distribution near a nominal one")
-    drce.add_argument("--model", required=True)
+    drce.add_argument("--model", required=True, help=model_help)
     drce.add_argument("--nominal", required=True, help="two-column CSV (t, probability)")
     drce.add_argument("--radius", type=float, required=True)
-    drce.add_argument("--algo", choices=("naive", "sabs"), default="sabs", help=algo_help)
     drce.add_argument("--out")
     drce.set_defaults(run=cmd_drce)
 
@@ -323,7 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     scenario.add_argument("--out")
     scenario.set_defaults(run=cmd_scenario)
 
-    bench = sub.add_parser("bench", help="time the cost-sequence algorithms and powering forms")
+    bench = sub.add_parser("bench", help="time the cost-sequence algorithms and powering forms; "
+                                         "sabs is cost_sequence_strided, naive below horizon n")
     bench.add_argument("--sizes", default="16,32,64", help="comma-separated state counts")
     bench.add_argument("--horizon", type=int, default=1024)
     bench.add_argument("--out")

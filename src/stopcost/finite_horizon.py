@@ -1,11 +1,12 @@
 """Cost trajectories <c, M^t x0> over a finite horizon.
 
 Two evaluators produce the same sequence up to rounding: a naive O(n^2 T)
-recurrence, and a square-root stride scheme that precomputes M^B
-(B = floor(sqrt T)) by repeated squaring, the B forward states M^{iB} x0 and
-the B backward costs (M^T)^j c, then reads each <c, M^t x0> for t <= B^2 off a
-single inner product, finishing any tail t > B^2 sequentially. They multiply
-in a different order, so their values usually differ in the last bits.
+recurrence, and a square-root stride scheme that precomputes M^B (B = isqrt T)
+by O(n^3 log B) repeated squaring, the B forward states M^{iB} x0 and the B
+backward costs (M^T)^j c, then reads each <c, M^t x0> for t <= B^2 off a single
+inner product, finishing any tail t > B^2 sequentially. They multiply in a
+different order, so their values usually differ in the last bits, except where
+`cost_sequence_strided` is the cheaper recurrence itself: T < max(4, n).
 """
 from __future__ import annotations
 
@@ -50,21 +51,25 @@ def _check(m, x0, c, horizon):
 def cost_sequence_naive(m, x0, c, horizon: int) -> CostSequence:
     """Sequential recurrence v_{t+1} = M v_t; exact reference evaluator."""
     a, v, cv = _check(m, x0, c, horizon)
-    out = np.empty(horizon)
-    for t in range(horizon):
+    return CostSequence(int(horizon), _recur(a, v, cv, np.empty(horizon)))
+
+
+def _recur(a, v, cv, out):
+    for t in range(out.size):       # out[t] = <cv, a^(t+1) v>
         v = a @ v
         out[t] = cv @ v
-    return CostSequence(int(horizon), out)
+    return out
 
 
 def cost_sequence_strided(m, x0, c, horizon: int) -> CostSequence:
-    """Square-root stride evaluator; naive values up to rounding, fewer passes for large T."""
+    """Square-root stride evaluator; for horizon < max(4, n), the cheaper recurrence itself."""
     a, x, cv = _check(m, x0, c, horizon)
     horizon = int(horizon)
-    if horizon < 4:                      # stride buys nothing below B = 2
-        return cost_sequence_naive(a, x, cv, horizon)
-    big_stride = math.isqrt(horizon)
     n = a.shape[0]
+    out = np.empty(horizon)
+    if horizon < max(4, n):
+        return CostSequence(horizon, _recur(a, x, cv, out))
+    big_stride = math.isqrt(horizon)
 
     m_big = mat_pow(a, big_stride)
     fwd = np.empty((big_stride + 1, n))
@@ -78,15 +83,10 @@ def cost_sequence_strided(m, x0, c, horizon: int) -> CostSequence:
         bwd[j] = at @ bwd[j - 1]
 
     table = bwd @ fwd.T                  # table[j, i] = <(M^T)^j c, M^{iB} x0>
-    out = np.empty(horizon)
     square = big_stride * big_stride
     # t = iB + j is entry t of table.T read in C order
     out[:square] = table.T.ravel()[1:square + 1]
-
-    v = fwd[big_stride]
-    for t in range(square, horizon):
-        v = a @ v
-        out[t] = cv @ v
+    _recur(a, fwd[big_stride], cv, out[square:])
     return CostSequence(horizon, out)
 
 

@@ -705,8 +705,8 @@ def compare_report(m, x0, c, samples, xi: float, seed: int, *,
     call, by a search over the widest support band. The percentages are
     bit-identical to sequential per-sample draws from fresh generators. The
     matrix is checked as `stationary` checks it. The seed must be a
-    non-negative integer, and the samples and support_max integers: a float
-    among them raises ValueError.
+    non-negative integer, and the samples, support_max, copies and population
+    integers: a float among them raises ValueError before any work is done.
 
     With population = N > 1, (m, x0, c) describe one person and each replica
     is N independent, identical persons, costing the sum of their costs. The
@@ -733,10 +733,10 @@ def compare_report(m, x0, c, samples, xi: float, seed: int, *,
     ts = ts.astype(np.intp, copy=False)
     if ts.min() < 1:
         raise ValueError("stopping times must be >= 1")
-    if copies < 1:
-        raise ValueError("copies must be >= 1")
-    if population < 1:
-        raise ValueError("population must be >= 1")
+    for name, value in (("copies", copies), ("population", population)):
+        if _as_int(value, f"{name} must be an integer") < 1:
+            raise ValueError(f"{name} must be >= 1")
+    copies, population = int(copies), int(population)
     seed = _checked_seed(seed)
 
     k = ts.size

@@ -11,6 +11,7 @@ import pytest
 import scipy.linalg
 
 import stopcost
+from stopcost import cli, markov_gas
 from stopcost.cli import build_parser, main
 from stopcost.finite_horizon import CostSequence, cost_sequence_naive
 from stopcost.scenarios import ComparisonReport, CsocParams, HealthParams, build_csoc_overtime, \
@@ -22,6 +23,19 @@ from helpers import geometric_grid_oracle, lazy_cycle
 TWO_STATE = {
     "kind": "markov", "n": 2,
     "matrix": [0.8, 0.1, 0.2, 0.9],
+    "cost": [1.0, 0.0],
+    "x0": [1.0, 0.0],
+}
+# two absorbing states, and the periodic 2-cycle: no unique stationary law
+TWO_ABSORBING = {
+    "kind": "markov", "n": 3,
+    "matrix": [1.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5, 1.0],
+    "cost": [1.0, 2.0, 2.0],
+    "x0": [0.0, 1.0, 0.0],
+}
+TWO_CYCLE = {
+    "kind": "markov", "n": 2,
+    "matrix": [0.0, 1.0, 1.0, 0.0],
     "cost": [1.0, 0.0],
     "x0": [1.0, 0.0],
 }
@@ -108,13 +122,48 @@ def test_model_file_validation(tmp_path, capsys):
 
 # -------------------------------------------------------------- rce / drce ---
 
-def test_rce_scalar_both_algorithms(tmp_path, capsys):
+def test_rce_scalar(tmp_path, capsys):
     model = write_json(tmp_path / "scalar.json", SCALAR_GAS)
-    for algo in ("naive", "sabs"):
-        code, out, err = run_cli(capsys, "rce", "--model", model,
-                                 "--horizon", "3", "--algo", algo)
-        assert code == 0 and err == ""
-        assert out == "t_star,value\n1,0.5\n"
+    assert run_cli(capsys, "rce", "--model", model, "--horizon", "3") == \
+        (0, "t_star,value\n1,0.5\n", "")
+
+
+def test_rce_and_drce_have_no_algo_option(tmp_path, capsys):
+    model = write_json(tmp_path / "scalar.json", SCALAR_GAS)
+    nominal = tmp_path / "nominal.csv"
+    nominal.write_text("t,probability\n1,1\n")
+    for argv in (("rce", "--horizon", "3"), ("drce", "--nominal", str(nominal), "--radius", "0.5")):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--model", model, "--algo", "naive"])
+        assert exc.value.code == 2
+
+
+def test_finite_horizon_commands_answer_chains_without_a_stationary_law(
+        tmp_path, capsys, monkeypatch):
+    """rce and drce check a Markov file as a stochastic matrix only; the
+    commands that need the mean-shifted form still reject it (exit 2)."""
+    absorbing = write_json(tmp_path / "absorbing.json", TWO_ABSORBING)
+    cycle = write_json(tmp_path / "cycle.json", TWO_CYCLE)
+    nominal = tmp_path / "nominal.csv"
+    nominal.write_text("t,probability\n1,0.5\n2,0.3\n3,0.2\n")
+    for argv in (("rce-inf",), ("drce-geom", "--rho", "0.5", "--radius", "0.5"), ("convert",)):
+        for model in (absorbing, cycle):
+            code, out, err = run_cli(capsys, *argv, "--model", model)
+            assert code == 2 and out == "" and "not ergodic enough" in err, argv
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a finite-horizon op reached the stationary law")
+
+    monkeypatch.setattr(cli, "MarkovChain", forbidden)
+    monkeypatch.setattr(cli, "certify_stable", forbidden)
+    monkeypatch.setattr(markov_gas, "_stationary", forbidden)
+    monkeypatch.setattr(markov_gas, "certify_stable", forbidden)
+    assert run_cli(capsys, "rce", "--model", absorbing, "--horizon", "4") == \
+        (0, "t_star,value\n1,1.5\n", "")
+    assert run_cli(capsys, "rce", "--model", cycle, "--horizon", "4") == \
+        (0, "t_star,value\n2,1\n", "")
+    assert run_cli(capsys, "drce", "--model", cycle, "--nominal", str(nominal),
+                   "--radius", "0.5") == (0, "value,case_used\n0.8,lp\n", "")
 
 
 def test_rce_rejects_bad_horizon(tmp_path, capsys):
@@ -299,8 +348,9 @@ def _lazy_cycle_files(tmp_path, n=48):
 
 
 def test_markov_ops_run_no_eigensolver(tmp_path, capsys, monkeypatch):
-    """Stability of a Markov file is certified by squaring: rce-inf, convert,
-    rce and drce answer as before with every eigensolver disabled."""
+    """Stability of a Markov file is certified by squaring (rce and drce need
+    none): rce-inf, convert, rce and drce answer as before with every
+    eigensolver disabled."""
     model, nominal = _lazy_cycle_files(tmp_path)
     runs = [("rce-inf", "--model", model), ("convert", "--model", model),
             ("rce", "--model", model, "--horizon", "300"),

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from stopcost import finite_horizon
 from stopcost.finite_horizon import (
     CostSequence,
     cost_sequence_naive,
@@ -11,6 +12,7 @@ from stopcost.finite_horizon import (
 )
 
 from stopcost.matrix_core import mat_pow
+from stopcost.scenarios import HealthParams, build_health_chain, compare_report, sample_horizons
 
 from helpers import random_stable
 
@@ -99,7 +101,43 @@ def test_strided_table_read_equals_modular_indexing():
     x0, c = rng.standard_normal(6), rng.standard_normal(6)
     for horizon in [*range(4, 200), 999, 1000, 1024, 4096, 100_000]:
         got = cost_sequence_strided(m, x0, c, horizon).values
-        assert np.array_equal(got, _strided_read_by_modulus(m, x0, c, horizon)), horizon
+        # below horizon n the evaluator is the recurrence
+        want = cost_sequence_naive(m, x0, c, horizon).values if horizon < 6 else \
+            _strided_read_by_modulus(m, x0, c, horizon)
+        assert np.array_equal(got, want), horizon
+    # a 3-state system keeps the B = 2 table read (horizons 4-8) on the stride path
+    m3 = random_stable(rng, 3)
+    x3, c3 = rng.standard_normal(3), rng.standard_normal(3)
+    for horizon in range(4, 40):
+        got = cost_sequence_strided(m3, x3, c3, horizon).values
+        assert np.array_equal(got, _strided_read_by_modulus(m3, x3, c3, horizon)), horizon
+
+
+def test_strided_takes_the_recurrence_exactly_below_max_4_n(monkeypatch):
+    calls = []
+
+    def counting_pow(m, k):
+        calls.append(k)
+        return mat_pow(m, k)
+
+    monkeypatch.setattr(finite_horizon, "mat_pow", counting_pow)
+    rng = np.random.default_rng(113)
+    m = random_stable(rng, 40)
+    x0, c = rng.standard_normal(40), rng.standard_normal(40)
+    for horizon in (20, 39):
+        got = cost_sequence_strided(m, x0, c, horizon).values
+        assert calls == [], horizon
+        assert np.array_equal(got, cost_sequence_naive(m, x0, c, horizon).values), horizon
+    for horizon in (40, 41, 200):
+        calls.clear()
+        cost_sequence_strided(m, x0, c, horizon)
+        assert calls, horizon
+    # the dense 243-state sir population chain at the packaged horizon 15
+    calls.clear()
+    chain, init, cost = build_health_chain(HealthParams("sir", 5))
+    compare_report(chain, init, cost, sample_horizons(1, 15, 8, 20, 0), 1.0, seed=0,
+                   support_max=15)
+    assert calls == []
 
 
 def test_rce_picks_earliest_maximum():

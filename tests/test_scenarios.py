@@ -315,6 +315,26 @@ def test_compare_report_checks_the_matrix_as_stationary_does():
         compare_report(clean, x0, c, samples, 0.5, seed=0)
 
 
+def test_compare_report_checks_copies_and_population_first(monkeypatch):
+    m = np.array([[0.5, 0.0], [0.5, 1.0]])
+    x0 = np.array([0.0, 1.0])
+    c = np.array([1.0, 0.0])
+    base = compare_report(m, x0, c, [2, 3], 0.5, seed=0, copies=2, population=3)
+    # bools and numpy integers count
+    assert compare_report(m, x0, c, [2, 3], 0.5, seed=0, copies=np.int64(2),
+                          population=np.uint8(3)) == base
+    assert compare_report(m, x0, c, [2, 3], 0.5, seed=0, copies=True, population=True) == \
+        compare_report(m, x0, c, [2, 3], 0.5, seed=0)
+
+    def no_work(*args):
+        raise AssertionError("the cost sequence ran before the arguments were checked")
+
+    monkeypatch.setattr(scenarios, "cost_sequence_strided", no_work)
+    for name, value in (("copies", 1.5), ("population", 2.0), ("copies", "2")):
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {value}"):
+            compare_report(m, x0, c, [2, 3], 0.5, seed=0, **{name: value})
+
+
 # ------------------------------------------------- batched rollout draws ---
 
 def _tied_chain():
