@@ -12,9 +12,9 @@ certified tail bound, and `drce-geom` maximizes the exact resolvent form of
 the geometric objective (`geometric_drce_exact`), reporting the Chebyshev
 tail estimate of its interpolant in the third column.
 
-Model files are JSON with fields kind ("markov" or "gas"), n, matrix
-(row-major), optional cost/x0 vectors, and for gas models the optional
-projection operators and cost_offset produced by `convert`. Nominal
+Model files are JSON with fields kind ("markov" or "gas"), an integer n,
+matrix (row-major), optional cost/x0 vectors, and for gas models the optional
+projection operators and finite cost_offset produced by `convert`. Nominal
 distributions are two-column CSV (t, probability) with an optional header.
 All results are written as CSV with 12-significant-digit reals, buffered so
 failures produce no partial output; an `--out` path that cannot be written
@@ -70,26 +70,28 @@ def load_model(path: str) -> ModelFile:
     kind = data.get("kind")
     if kind not in ("markov", "gas"):
         raise ValueError(f"{path}: kind must be 'markov' or 'gas', got {kind!r}")
-    if "n" not in data or "matrix" not in data:
+    if "n" not in data or data.get("matrix") is None:
         raise ValueError(f"{path}: model file needs 'n' and 'matrix' fields")
-    n = int(data["n"])
-    if n < 1:
-        raise ValueError(f"{path}: n must be >= 1")
-    matrix = np.asarray(data["matrix"], dtype=float)
-    if matrix.size != n * n:
-        raise ValueError(f"{path}: matrix has {matrix.size} entries, expected n*n = {n * n}")
-    matrix = matrix.reshape(n, n)
+    n = data["n"]
+    if type(n) is not int or n < 1:      # a JSON integer: neither a bool nor a float
+        raise ValueError(f"{path}: n must be an integer >= 1, got {n!r}")
+    offset = data.get("cost_offset", 0.0)
+    # abs(x) <= the largest float fails for NaN, infinities and larger integers
+    if type(offset) not in (int, float) or not abs(offset) <= sys.float_info.max:
+        raise ValueError(f"{path}: cost_offset must be a finite number, got {offset!r}")
 
-    def vector(name: str) -> np.ndarray | None:
-        if name not in data or data[name] is None:
+    def field(name: str, ndim: int) -> np.ndarray | None:
+        if data.get(name) is None:
             return None
-        v = np.asarray(data[name], dtype=float)
-        if v.shape != (n,):
-            raise ValueError(f"{path}: {name} must have {n} entries")
-        return v
+        try:
+            v = np.asarray(data[name], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: {name} must hold numbers ({exc})") from None
+        if v.size != n ** ndim:
+            raise ValueError(f"{path}: {name} has {v.size} entries, expected {n ** ndim}")
+        return v.reshape((n,) * ndim)
 
-    return ModelFile(kind, n, matrix, vector("cost"), vector("x0"),
-                     float(data.get("cost_offset", 0.0)))
+    return ModelFile(kind, n, field("matrix", 2), field("cost", 1), field("x0", 1), float(offset))
 
 
 def _require(model: ModelFile, name: str) -> np.ndarray:

@@ -60,8 +60,8 @@ class LpSolution:
 
 def lp_solve(lp: LinearProgram) -> LpSolution:
     """Solve the program; statuses: optimal / infeasible / unbounded."""
-    # Imported here, not at module level: scipy.optimize takes about half as
-    # long to import as the whole package, and no CLI subcommand solves an LP.
+    # Imported here, not at module level: scipy.optimize adds ~0.65 s to a fresh
+    # interpreter, twice `import stopcost.cli`, and no CLI subcommand solves an LP.
     from scipy.optimize import linprog
 
     # HiGHS's default feasibility tolerance (1e-7) left up to 1.7e-8 of error on

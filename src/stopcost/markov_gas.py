@@ -9,14 +9,13 @@ costs transfer exactly: <c, x_t> = <B^T c, v_t> + <c, pi>.
 m_bar = A M B is M restricted to the zero-sum vectors, so its eigenvalues are
 M's with one copy of the unit eigenvalue removed. Stability is certified by
 squaring m_bar until |m_bar^k|_inf <= 1/2 (`certify_stable`), not by computing
-eigenvalues: no function here runs an eigensolver.
+eigenvalues: no function here runs an eigensolver, and none needs scipy.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .config import DEFAULT_TOLS
 from .matrix_core import as_matrix, as_vector, certify_stable
@@ -40,14 +39,14 @@ def _validate_transition(m) -> np.ndarray:
 
 
 def stationary(m) -> np.ndarray:
-    """Stationary distribution via shifted inverse iteration at the unit eigenvalue.
+    """Stationary distribution by inverse iteration with `numpy.linalg.solve`.
 
     The chain must have a simple unit eigenvalue and no other of modulus 1,
     which holds exactly when the reduced matrix A M B has spectral radius
     below 1; `certify_stable` checks that by squaring, with no eigensolver.
-    Its cap accepts spectral gaps 1 - |lambda_2| down to a few times
-    1e-11, so also chains with |lambda_2| in (1 - 1e-9, 1 - 3e-11) that a
-    count of eigenvalues with modulus >= 1 - 1e-9 would reject.
+    Its cap accepts spectral gaps 1 - |lambda_2| down to a few times 1e-11, so
+    also chains with |lambda_2| in (1 - 1e-9, 1 - 3e-11) that a count of
+    eigenvalues with modulus >= 1 - 1e-9 would reject.
     """
     return _stationary(_validate_transition(m))
 
@@ -62,11 +61,11 @@ def _stationary(a: np.ndarray) -> np.ndarray:
         except ValueError:
             raise ValueError("multiple unit-magnitude eigenvalues: chain is not ergodic enough") from None
     shift = 1.0 + 1e-11
-    lu, piv = scipy.linalg.lu_factor(a - shift * np.eye(n))
+    lhs = a - shift * np.eye(n)
     v = np.full(n, 1.0 / n)
     best, best_res = None, np.inf
     for _ in range(100):
-        y = scipy.linalg.lu_solve((lu, piv), v)
+        y = np.linalg.solve(lhs, v)
         s = y.sum()
         if s == 0.0:
             raise RuntimeError("inverse iteration broke down")
@@ -112,7 +111,6 @@ class GasSystem:
     a_op: np.ndarray
     b_op: np.ndarray
     stationary: np.ndarray
-    cost_offset: float = 0.0
 
     def __post_init__(self):
         n = self.stationary.shape[0]

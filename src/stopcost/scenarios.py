@@ -704,9 +704,9 @@ def compare_report(m, x0, c, samples, xi: float, seed: int, *,
     step reads its next state off per-column band tables built once per
     call, by a search over the widest support band. The percentages are
     bit-identical to sequential per-sample draws from fresh generators. The
-    matrix is checked as `stationary` checks it. The seed must be a
-    non-negative integer, and the samples, support_max, copies and population
-    integers: a float among them raises ValueError before any work is done.
+    matrix need only be column-stochastic. The seed must be a non-negative
+    integer, and the samples, support_max, copies and population integers: a
+    float among them raises ValueError before any work is done.
 
     With population = N > 1, (m, x0, c) describe one person and each replica
     is N independent, identical persons, costing the sum of their costs. The

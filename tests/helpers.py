@@ -1,4 +1,5 @@
 """Shared generators for randomized tests and independent reference oracles."""
+import functools
 import math
 from fractions import Fraction
 
@@ -265,21 +266,29 @@ def exact_cost_values(a, q, c, x, horizon):
     return values
 
 
-def stationary_eigvals_oracle(m):
+def stationary_eigvals_oracle(m, scipy_lu=False):
     """`stationary` as it was before its stability certificate: the chain is
     accepted when exactly one eigenvalue has modulus >= 1 - 1e-9, then pi is
-    found by the same shifted inverse iteration."""
+    found by the same shifted inverse iteration, each step solved by
+    `numpy.linalg.solve` as the library does. With scipy_lu=True each step
+    reuses one scipy LU factorization instead: a reference that shares no
+    solver code with the library."""
     a = _validate_transition(m)
     n = a.shape[0]
     lam = np.linalg.eigvals(a)
     if int(np.sum(np.abs(lam) >= 1.0 - 1e-9)) != 1:
         raise ValueError("multiple unit-magnitude eigenvalues: chain is not ergodic enough")
     shift = 1.0 + 1e-11
-    lu, piv = scipy.linalg.lu_factor(a - shift * np.eye(n))
+    lhs = a - shift * np.eye(n)
+    if scipy_lu:
+        lu_piv = scipy.linalg.lu_factor(lhs)
+        solve = functools.partial(scipy.linalg.lu_solve, lu_piv)
+    else:
+        solve = functools.partial(np.linalg.solve, lhs)
     v = np.full(n, 1.0 / n)
     best, best_res = None, np.inf
     for _ in range(100):
-        y = scipy.linalg.lu_solve((lu, piv), v)
+        y = solve(v)
         s = y.sum()
         if s == 0.0:
             raise RuntimeError("inverse iteration broke down")

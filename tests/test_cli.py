@@ -120,6 +120,21 @@ def test_model_file_validation(tmp_path, capsys):
     assert run_cli(capsys, "rce", "--model", path, "--horizon", "3")[0] == 2
 
 
+@pytest.mark.parametrize("name,value", [
+    ("n", [1]), ("n", 1.7), ("n", True), ("matrix", {"a": 1}), ("cost", {"a": 1}),
+    ("x0", "one"), ("cost_offset", None), ("cost_offset", [1]), ("cost_offset", "1"),
+    ("cost_offset", math.nan), ("cost_offset", math.inf), ("cost_offset", 10 ** 400)])
+def test_malformed_model_fields_are_invalid_input(name, value, tmp_path, capsys):
+    """A field of the wrong JSON type, or a NaN offset (which json.load
+    accepts), is invalid input that names the field, not a traceback or a nan."""
+    model = write_json(tmp_path / "bad.json", dict(SCALAR_GAS, **{name: value}))
+    for argv in (["rce-inf"], ["drce-geom", "--rho", "0.5", "--radius", "0.5"],
+                 ["rce", "--horizon", "3"]):
+        code, out, err = run_cli(capsys, *argv, "--model", model)
+        assert code == 2 and out == "", (argv, out)
+        assert err.startswith("error:") and f"{name} " in err and "Traceback" not in err, err
+
+
 # -------------------------------------------------------------- rce / drce ---
 
 def test_rce_scalar(tmp_path, capsys):
@@ -556,8 +571,13 @@ def test_scenario_errors_name_the_option(name, option, value, capsys):
 
 
 def test_drce_and_scenario_do_not_import_the_lp_solver(tmp_path):
-    # scipy.optimize takes about half as long to import as the package itself
+    """No subcommand, and no drce_finite call, loads scipy: in a fresh
+    interpreter on a 2-vCPU host `import stopcost.cli` takes ~0.3 s, numpy
+    included, `import scipy.linalg` adds ~0.3 s and `scipy.optimize` ~0.65 s."""
     model = write_json(tmp_path / "scalar.json", SCALAR_GAS)
+    chain = write_json(tmp_path / "chain.json", {
+        "kind": "markov", "n": 3, "matrix": [0.5, 0.25, 0.25, 0.25, 0.5, 0.25, 0.25, 0.25, 0.5],
+        "cost": [0.0, 1.0, 3.0], "x0": [0.0, 0.0, 1.0]})
     nominal = tmp_path / "nominal.csv"
     nominal.write_text("1,1.0\n2,0.0\n3,0.0\n")
     script = (
@@ -566,6 +586,10 @@ def test_drce_and_scenario_do_not_import_the_lp_solver(tmp_path):
         f"assert main(['drce', '--model', {model!r}, '--nominal', {str(nominal)!r},"
         " '--radius', '0.5']) == 0\n"
         "assert main(['scenario', 'csoc', '--samples', '20', '--xi', '0']) == 0\n"
+        "for argv in (['rce', '--horizon', '5'], ['rce-inf'], ['convert'],\n"
+        "             ['drce-geom', '--rho', '0.5', '--radius', '0.5']):\n"
+        f"    assert main(argv + ['--model', {chain!r}]) == 0, argv\n"
+        "assert main(['bench', '--sizes', '4', '--horizon', '8']) == 0\n"
         "import numpy as np\n"
         "from stopcost import AmbiguitySet, CostSequence, GroundDistance, drce_finite\n"
         "d = GroundDistance.explicit([[0, 1, 2], [1, 0, 1], [2, 1, 0]])\n"
@@ -573,6 +597,8 @@ def test_drce_and_scenario_do_not_import_the_lp_solver(tmp_path):
         "                  AmbiguitySet(np.array([1.0, 0.0, 0.0]), 0.5, d))\n"
         "assert sol.case_used == 'lp' and abs(sol.value - 0.5) <= 1e-12, sol\n"
         "assert 'scipy.optimize' not in sys.modules, 'scipy.optimize was imported'\n"
+        "loaded = [name for name in sys.modules if name.partition('.')[0] == 'scipy']\n"
+        "assert not loaded, loaded\n"
     )
     src = str(Path(stopcost.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -581,6 +607,7 @@ def test_drce_and_scenario_do_not_import_the_lp_solver(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert ",lp\n" in proc.stdout       # drce took the dual (ball meets boundary) path
+    assert "attained,1,1.75\n" in proc.stdout
 
 
 def test_bench_output_parses(tmp_path, capsys):

@@ -116,13 +116,17 @@ def _stationary_oracle_cases():
 
 def test_stationary_certificate_matches_eigenvalue_count():
     """Accept exactly the chains with one eigenvalue of modulus >= 1 - 1e-9,
-    and return pi bit for bit as the eigenvalue-count version did."""
+    and return pi bit for bit as the eigenvalue-count version did, and within
+    1e-13 relative of the same iteration on a scipy LU factorization."""
     verdicts = {}
     for family, m in _stationary_oracle_cases():
         accepted = int(np.sum(np.abs(np.linalg.eigvals(m)) >= 1.0 - 1e-9)) == 1
         verdicts.setdefault(family, set()).add(accepted)
         if accepted:
-            assert np.array_equal(stationary(m), stationary_eigvals_oracle(m)), family
+            pi = stationary(m)
+            assert np.array_equal(pi, stationary_eigvals_oracle(m)), family
+            np.testing.assert_allclose(pi, stationary_eigvals_oracle(m, scipy_lu=True),
+                                       rtol=1e-13, atol=0, err_msg=family)
         else:
             with pytest.raises(ValueError, match="multiple unit-magnitude eigenvalues"):
                 stationary(m)
