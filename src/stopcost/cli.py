@@ -7,14 +7,17 @@ the packaged queue/epidemic studies, and `bench` times the two cost-sequence
 algorithms and the two powering representations. `rce`/`drce` take any
 column-stochastic Markov matrix and run `cost_sequence_strided` (bench's sabs
 column), the recurrence below horizon max(4, n). The unbounded-horizon ones
-run no eigensolver: stability is certified by squaring, `rce-inf` scans to a
-certified tail bound, and `drce-geom` maximizes the exact resolvent form of
-the geometric objective (`geometric_drce_exact`), reporting the Chebyshev
-tail estimate of its interpolant in the third column.
+run no eigensolver: stability is certified by squaring the stable matrix
+once (`stable_squares`), `rce-inf` scans with those squares to a certified
+tail bound, and `drce-geom` maximizes the exact resolvent form of the
+geometric objective (`geometric_drce_exact`), reporting the Chebyshev tail
+estimate of its interpolant in the third column.
 
 Model files are JSON with fields kind ("markov" or "gas"), an integer n,
-matrix (row-major), optional cost/x0 vectors, and for gas models the optional
-projection operators and finite cost_offset produced by `convert`. Nominal
+matrix (row-major), optional cost/x0 vectors, an optional finite cost_offset,
+and for gas models the optional projection operators produced by `convert`.
+The cost_offset is added to every cost on every subcommand, for Markov and
+gas files alike; `convert` writes a Markov file's offset plus <cost, pi>. Nominal
 distributions are two-column CSV (t, probability) with an optional header.
 All results are written as CSV with 12-significant-digit reals, buffered so
 failures produce no partial output; an `--out` path that cannot be written
@@ -39,7 +42,7 @@ import numpy as np
 from .finite_horizon import CostSequence, cost_sequence_naive, cost_sequence_strided, rce_finite
 from .infinite_horizon import geometric_drce_exact, rce_infinite
 from .markov_gas import MarkovChain, _validate_transition, project_state, to_gas, transfer_cost
-from .matrix_core import certify_stable, mat_pow
+from .matrix_core import StableSquares, mat_pow, stable_squares
 from .scenarios import CsocParams, HealthParams, build_csoc_overtime, \
     compare_report, health_person, sample_horizons
 from .wasserstein import AmbiguitySet, drce_finite
@@ -159,7 +162,9 @@ def cmd_convert(args) -> str:
     if model.cost is not None:
         shifted_cost, offset = transfer_cost(gas, model.cost)
         out["cost"] = shifted_cost.tolist()
-        out["cost_offset"] = offset
+        out["cost_offset"] = offset + model.cost_offset
+    elif model.cost_offset != 0.0:
+        out["cost_offset"] = model.cost_offset
     if model.x0 is not None:
         out["x0"] = project_state(gas, model.x0).tolist()
     return json.dumps(out, indent=2) + "\n"
@@ -182,28 +187,29 @@ def cmd_drce(args) -> str:
     return f"value,case_used\n{_fmt(solution.value)},{solution.case_used}\n"
 
 
-def _to_shifted(model: ModelFile) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-    """Strictly stable (matrix, cost, x0, offset) for unbounded-horizon work."""
+def _to_shifted(model: ModelFile) -> tuple[StableSquares, np.ndarray, np.ndarray, float]:
+    """(squares of the certified stable matrix, cost, x0, offset) for
+    unbounded-horizon work; the offset includes the file's cost_offset."""
     if model.kind == "gas":
-        certify_stable(model.matrix)   # a Markov file is certified in `stationary`
-        return model.matrix, _require(model, "cost"), _require(model, "x0"), model.cost_offset
-    chain = MarkovChain.from_transition(model.matrix)
-    gas = to_gas(chain)
+        return stable_squares(model.matrix), _require(model, "cost"), _require(model, "x0"), \
+            model.cost_offset
+    gas = to_gas(MarkovChain.from_transition(model.matrix))
     shifted_cost, offset = transfer_cost(gas, _require(model, "cost"))
     v0 = project_state(gas, _require(model, "x0"))
-    return gas.m_bar, shifted_cost, v0, offset
+    return gas.squares, shifted_cost, v0, offset + model.cost_offset
 
 
 def cmd_rce_inf(args) -> str:
-    matrix, cost, x0, offset = _to_shifted(load_model(args.model))
-    result = rce_infinite(matrix, cost, x0)
+    squares, cost, x0, offset = _to_shifted(load_model(args.model))
+    result = rce_infinite(squares, cost, x0)
     t_star = "" if result.t_star is None else str(result.t_star)
     return f"kind,t_star,value\n{result.kind},{t_star},{_fmt(result.value + offset)}\n"
 
 
 def cmd_drce_geom(args) -> str:
-    matrix, cost, x0, offset = _to_shifted(load_model(args.model))
-    rho_star, value, tail = geometric_drce_exact(matrix, cost, x0, args.rho, args.radius, args.eps)
+    squares, cost, x0, offset = _to_shifted(load_model(args.model))
+    rho_star, value, tail = geometric_drce_exact(squares.matrix, cost, x0, args.rho, args.radius,
+                                                 args.eps)
     return ("rho_star,value,truncation_bound\n"
             f"{_fmt(rho_star)},{_fmt(value + offset)},{_fmt(tail)}\n")
 

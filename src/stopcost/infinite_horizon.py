@@ -12,7 +12,8 @@ functions here locate a witness t0 with g(t0) > 0 when one exists, bound the
 horizon n0 beyond which |g| stays under g(t0), and reduce the search to a
 finite scan. `rce_infinite` skips the expansion: once |M^k|_inf < 1, |g(t')| for
 t' > t is at most tail * |M^t x0|_inf, tail = max_{r<=k} |(M^T)^r c|_1, so it scans
-g until that falls to max(best, positive_floor * max(1, tail * |x0|_inf)). Angles
+g until that falls to max(best, positive_floor * max(1, tail * |x0|_inf)). It takes
+M^k and the squares below it from the certificate of M (`stable_squares`). Angles
 are kept in degrees throughout this module's public types.
 
 The worst geometric stopping law has two routes. `geometric_drce` is the
@@ -31,7 +32,8 @@ import numpy as np
 from numpy.polynomial import chebyshev
 
 from .config import DEFAULT_TOLS
-from .matrix_core import as_matrix, as_vector, certify_stable, real_jordan
+from .matrix_core import SQUARES_KEPT, StableSquares, as_matrix, as_vector, certify_stable, \
+    real_jordan, stable_squares
 
 
 @dataclass(frozen=True)
@@ -360,36 +362,43 @@ def find_n0(s: OscillatorySum, g_t0: float) -> int:
     return max(n0, 1)
 
 
-_BLOCK = 4096                 # most cost rows tabulated, and so most points per scan block
+_BLOCK = SQUARES_KEPT         # most cost rows tabulated, and so most points per scan block
 
 
 def rce_infinite(m, c, x) -> RceInfResult:
     """Supremum of <c, M^t x> over all positive integer stopping times.
 
-    M is squared to the least k = 2^j with |M^k|_inf < 1, certifying rho(M) < 1.
-    As |M^(qk)|_inf <= 1, |g(t')| <= tail * |M^t x|_inf for t' > t, with tail =
-    max_{r<=k} |(M^T)^r c|_1. g is scanned in blocks, tabulated rows c^T M^r times
-    M^t x, until that bound is at most max(best, positive_floor * max(1, tail *
-    |x|_inf)); with no g(t) above that floor the result is "supremum-at-infinity".
-    The `< 1` test can pass when rho(M) = 1 and the powers of M tend to a
-    projector of norm 1 that rounding leaves just under 1; the scan then never
-    ends, so such input is certified first (`certify_stable`), as the CLI does.
+    m is a matrix, or the `StableSquares` of one; a matrix is first certified
+    by `stable_squares` (|M^k|_inf <= 1/2), so a spectral radius of 1 raises
+    ValueError even where rounding leaves the powers' norm just under 1. The
+    scan reads the squares up to the least k = 2^j with |M^k|_inf < 1 (k above
+    2^24 is rejected). As |M^(qk)|_inf <= 1, |g(t')| <= tail * |M^t x|_inf for
+    t' > t, with tail = max_{r<=k} |(M^T)^r c|_1. g is scanned in blocks,
+    tabulated rows c^T M^r times M^t x, until that bound is at most max(best,
+    positive_floor * max(1, tail * |x|_inf)); with no g(t) above that floor the
+    result is "supremum-at-infinity". The block grows, taking further squares,
+    until its estimated norm is at most 1/2 or it holds _BLOCK rows.
     """
-    a, cv, xv = _system(m, c, x)
-    power, k = a, 1                          # power = M^k
+    if isinstance(m, StableSquares):
+        squares, (a, cv, xv) = m, _system(m.matrix, c, x)
+    else:
+        a, cv, xv = _system(m, c, x)
+        squares = stable_squares(a)
+    j = next(i for i, norm in enumerate(squares.norms) if norm < 1.0)
+    if j > 24:                               # k = 2^j: give up
+        raise ValueError(f"spectral radius must be strictly below 1 (|M^k|_inf >= 1, k <= {2 ** 24})")
+    k, norm, powers = 2 ** j, squares.norms[j], squares.powers
     rows, jump = (cv @ a)[None, :], a        # rows[r - 1] = c^T M^r; jump = M^len(rows)
-    while (norm := float(np.abs(power).sum(axis=1).max())) >= 1.0:
-        if k >= 2 ** 24 or norm > 1e150:     # give up, or the next square could overflow
-            raise ValueError(f"spectral radius must be strictly below 1 (|M^k|_inf >= 1, k <= {k})")
-        power, k = power @ power, 2 * k
-        if k <= _BLOCK:
-            rows, jump = np.vstack([rows, rows @ jump]), power
+    for i in range(1, min(k, _BLOCK).bit_length()):
+        rows, jump = np.vstack([rows, rows @ jump]), powers[i]
     tail, chunk = float(np.abs(rows).sum(axis=1).max()), rows
     for _ in range(k // rows.shape[0] - 1):  # rows past the table enter only the tail
         chunk = chunk @ jump
         tail = max(tail, float(np.abs(chunk).sum(axis=1).max()))
     while norm > 0.5 and rows.shape[0] < _BLOCK:    # until a block at least halves |v|_inf
-        rows, jump, norm = np.vstack([rows, rows @ jump]), jump @ jump, norm * norm
+        i = rows.shape[0].bit_length()       # the next jump is M^(2^i), 2^i <= _BLOCK
+        rows, norm = np.vstack([rows, rows @ jump]), norm * norm
+        jump = powers[i] if i < len(squares.norms) else jump @ jump
     floor = DEFAULT_TOLS.positive_floor * max(1.0, tail * float(np.abs(xv).max()))
     best_t, best_val, t, v = None, -math.inf, 0, xv
     while tail * float(np.abs(v).max()) > max(best_val, floor):

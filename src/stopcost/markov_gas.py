@@ -8,17 +8,19 @@ costs transfer exactly: <c, x_t> = <B^T c, v_t> + <c, pi>.
 
 m_bar = A M B is M restricted to the zero-sum vectors, so its eigenvalues are
 M's with one copy of the unit eigenvalue removed. Stability is certified by
-squaring m_bar until |m_bar^k|_inf <= 1/2 (`certify_stable`), not by computing
+squaring m_bar until |m_bar^k|_inf <= 1/2 (`stable_squares`), not by computing
 eigenvalues: no function here runs an eigensolver, and none needs scipy.
+`MarkovChain.from_transition` forms A, B and m_bar once and keeps the squares;
+`to_gas` carries them on the `GasSystem`, and `rce_infinite` scans with them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import DEFAULT_TOLS
-from .matrix_core import as_matrix, as_vector, certify_stable
+from .matrix_core import StableSquares, as_matrix, as_vector, stable_squares
 
 
 def _validate_transition(m) -> np.ndarray:
@@ -43,23 +45,29 @@ def stationary(m) -> np.ndarray:
 
     The chain must have a simple unit eigenvalue and no other of modulus 1,
     which holds exactly when the reduced matrix A M B has spectral radius
-    below 1; `certify_stable` checks that by squaring, with no eigensolver.
+    below 1; `stable_squares` checks that by squaring, with no eigensolver.
     Its cap accepts spectral gaps 1 - |lambda_2| down to a few times 1e-11, so
     also chains with |lambda_2| in (1 - 1e-9, 1 - 3e-11) that a count of
     eigenvalues with modulus >= 1 - 1e-9 would reject.
     """
-    return _stationary(_validate_transition(m))
+    a = _validate_transition(m)
+    if a.shape[0] > 1:
+        _reduce(a)
+    return _stationary(a)
+
+
+def _reduce(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, StableSquares]:
+    """A, B and the certified squares of m_bar = A a B, for a validated a."""
+    a_op, b_op = build_ab(a.shape[0])
+    try:
+        return a_op, b_op, stable_squares(a_op @ a @ b_op)
+    except ValueError:
+        raise ValueError("multiple unit-magnitude eigenvalues: chain is not ergodic enough") from None
 
 
 def _stationary(a: np.ndarray) -> np.ndarray:
-    # `stationary` for a matrix `_validate_transition` has already returned
+    # `stationary` for a matrix `_reduce` has already certified
     n = a.shape[0]
-    if n > 1:
-        a_op, b_op = build_ab(n)
-        try:
-            certify_stable(a_op @ a @ b_op)
-        except ValueError:
-            raise ValueError("multiple unit-magnitude eigenvalues: chain is not ergodic enough") from None
     shift = 1.0 + 1e-11
     lhs = a - shift * np.eye(n)
     v = np.full(n, 1.0 / n)
@@ -84,11 +92,18 @@ def _stationary(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MarkovChain:
-    """Column-stochastic transition matrix together with its stationary law."""
+    """Column-stochastic transition matrix together with its stationary law.
+
+    ``reduction`` holds what certified that law in `from_transition`: A, B
+    (`build_ab`) and the `StableSquares` of m_bar = A M B, which `to_gas`
+    hands on. It is None for a chain built directly or with one state.
+    """
 
     n: int
     transition: np.ndarray
     stationary: np.ndarray
+    reduction: tuple[np.ndarray, np.ndarray, StableSquares] | None = \
+        field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.transition.setflags(write=False)
@@ -97,20 +112,26 @@ class MarkovChain:
     @classmethod
     def from_transition(cls, m) -> "MarkovChain":
         a = _validate_transition(m)
+        reduction = _reduce(a) if a.shape[0] > 1 else None
         pi = _stationary(a)
         if np.abs(a @ pi - pi).max() > 1e-8:
             raise ValueError("stationary residual exceeds 1e-8")
-        return cls(a.shape[0], a, pi)
+        return cls(a.shape[0], a, pi, reduction)
 
 
 @dataclass(frozen=True)
 class GasSystem:
-    """Reduced (n-1)-dimensional stable system equivalent to a chain."""
+    """Reduced (n-1)-dimensional stable system equivalent to a chain.
+
+    ``squares`` is the `StableSquares` of m_bar when `to_gas` built the
+    system; `rce_infinite` scans with it.
+    """
 
     m_bar: np.ndarray
     a_op: np.ndarray
     b_op: np.ndarray
     stationary: np.ndarray
+    squares: StableSquares | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.stationary.shape[0]
@@ -147,11 +168,12 @@ def build_ab(n: int) -> tuple[np.ndarray, np.ndarray]:
 def to_gas(chain: MarkovChain) -> GasSystem:
     """Reduce a chain to its stable centered form m_bar = A M B.
 
-    m_bar is not checked again here: `MarkovChain.from_transition` has already
-    certified the same product in `stationary`.
+    A chain from `MarkovChain.from_transition` hands on the A, B and squares
+    that certified it, so m_bar is neither formed nor squared again; any other
+    chain is reduced and certified here (ValueError if it is not ergodic).
     """
-    a, b = build_ab(chain.n)
-    return GasSystem(a @ chain.transition @ b, a, b, chain.stationary.copy())
+    a, b, squares = chain.reduction or _reduce(chain.transition)
+    return GasSystem(squares.matrix, a, b, chain.stationary.copy(), squares)
 
 
 def project_state(gas: GasSystem, x) -> np.ndarray:

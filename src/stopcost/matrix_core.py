@@ -1,4 +1,5 @@
-"""Dense real matrix utilities: powers, spectral radius, real block-diagonal form.
+"""Dense real matrix utilities: powers, the squaring stability certificate,
+spectral radius, real block-diagonal form.
 
 The decomposition produced here is the real analogue of diagonalization: complex
 conjugate eigenvalue pairs a +- ib become 2x2 rotation-scaling blocks
@@ -57,7 +58,7 @@ def mat_vec(m, v) -> np.ndarray:
 # when a strictly stable matrix is powered down to underflow.
 _SUBNORMAL_GUARD = 1e-140
 
-# certify_stable gives up once k = 2^j reaches this; see its docstring.
+# stable_squares gives up once k = 2^j reaches this; see its docstring.
 _CERTIFY_MAX_K = 2 ** 36
 
 
@@ -92,27 +93,82 @@ def mat_pow(m, k: int) -> np.ndarray:
     return result
 
 
-def certify_stable(m) -> int:
-    """Least k = 2^j with |M^k|_inf <= 1/2, a certificate that rho(M) < 1.
+# stable_squares keeps the squares M^k for k up to this, rce_infinite's largest row table.
+SQUARES_KEPT = 4096
 
-    M is squared until the max row sum of |M^k| is at most 1/2, so rho(M)^k <=
-    1/2; no eigensolver runs. The margin below 1 matters: a chain with two
-    closed classes reduces to a matrix whose powers tend to a projector of
-    norm exactly 1, which rounding can leave a hair under 1. Raises ValueError
-    once k reaches _CERTIFY_MAX_K or |M^k|_inf exceeds 1e150 (the next square
-    could overflow). With rho(M) = 1 - delta the least k is about ln(2C) /
-    delta, C the transient growth of the powers, so the cap accepts gaps down
-    to about 1.5e-11 * ln(2C), and a unit eigenvalue that rounding moved by
-    less than ln(2) / _CERTIFY_MAX_K = 1e-11 is still rejected.
+
+@dataclass(frozen=True, eq=False)
+class StableSquares:
+    """The repeated squares M^(2^j) that certify rho(M) < 1 (`stable_squares`).
+
+    ``norms[j]`` is |M^(2^j)|_inf for every j up to the certificate k =
+    2^(len(norms) - 1), the least with norm <= 1/2. ``powers[j]`` is M^(2^j)
+    while 2^j <= SQUARES_KEPT, and ``powers[-1]`` is always M^k: these are the
+    powers `rce_infinite` scans with. ``powers[0]`` is a read-only copy of M.
     """
-    power, k = _square(m), 1
-    if power.shape[0] == 0:
-        return k
+
+    powers: tuple[np.ndarray, ...]
+    norms: tuple[float, ...]
+
+    def __post_init__(self):
+        for p in self.powers:
+            p.setflags(write=False)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return self.powers[0]
+
+    @property
+    def k(self) -> int:
+        return 2 ** (len(self.norms) - 1)
+
+
+def stable_squares(m) -> StableSquares:
+    """Square M until |M^k|_inf <= 1/2, a certificate that rho(M) < 1.
+
+    The max row sum of |M^k| at most 1/2 gives rho(M)^k <= 1/2; no eigensolver
+    runs. The margin below 1 matters: a chain with two closed classes reduces
+    to a matrix whose powers tend to a projector of norm exactly 1, which
+    rounding can leave a hair under 1. Raises ValueError once k reaches
+    _CERTIFY_MAX_K or |M^k|_inf exceeds 1e150 (the next square could
+    overflow). With rho(M) = 1 - delta the least k is about ln(2C) / delta, C
+    the transient growth of the powers, so the cap accepts gaps down to about
+    1.5e-11 * ln(2C), and a unit eigenvalue that rounding moved by less than
+    ln(2) / _CERTIFY_MAX_K = 1e-11 is still rejected. The squares kept take at
+    most log2(SQUARES_KEPT) + 2 = 14 matrices of M's size; a block of 13 is
+    reserved, and its pages are touched only as squares are written.
+    """
+    a = _square(m)
+    # The squares up to SQUARES_KEPT share one block, which the allocator keeps
+    # for the next call once it is freed. As separate arrays, the nine squares
+    # of the 128-state lazy cycle went back to the system on every call and
+    # were faulted in again: ~220 page faults, +0.4-0.9 ms a call.
+    stack = np.empty((SQUARES_KEPT.bit_length(), *a.shape))
+    power, k = stack[0], 1
+    power[...] = a
+    if a.shape[0] == 0:
+        return StableSquares((power,), (0.0,))
+    powers, norms = [power], []
     while (norm := float(np.abs(power).sum(axis=1).max())) > 0.5:
         if k >= _CERTIFY_MAX_K or norm > 1e150:
             raise ValueError(f"spectral radius must be strictly below 1 (|M^k|_inf > 1/2, k <= {k})")
-        power, k = power @ power, 2 * k
-    return k
+        norms.append(norm)
+        k *= 2
+        if k <= SQUARES_KEPT:
+            power = np.matmul(power, power, out=stack[len(powers)])
+        else:
+            power = power @ power
+            if k > 2 * SQUARES_KEPT:
+                powers.pop()              # M^(k/2) is past the kept squares
+        powers.append(power)
+    norms.append(norm)
+    return StableSquares(tuple(powers), tuple(norms))
+
+
+def certify_stable(m) -> int:
+    """Least k = 2^j with |M^k|_inf <= 1/2, a certificate that rho(M) < 1
+    (`stable_squares`, whose rule, cap and messages it applies)."""
+    return stable_squares(m).k
 
 
 def spectral_radius(m) -> float:

@@ -39,6 +39,47 @@ def lazy_cycle(rng, n):
     return 0.99 * walk + 0.01 / n, rng.random(n), x0
 
 
+def two_closed_classes_reduced():
+    """A m B for a 243-state chain with closed classes of 121 and 122 states: its
+    powers tend to a projector of norm exactly 1, which rounding leaves under 1."""
+    rng = np.random.default_rng(1)
+    m = np.zeros((243, 243))
+    for lo, hi in ((0, 121), (121, 243)):
+        raw = rng.random((hi - lo, hi - lo))
+        m[lo:hi, lo:hi] = raw / raw.sum(axis=0)
+    return np.tril(np.ones((242, 243))) @ m @ (np.eye(243, 242) - np.eye(243, 242, -1))
+
+
+def rce_infinite_own_squares(m, c, x):
+    """`rce_infinite` as it ran before it scanned with shared squares: its own
+    squaring loop, to the least k = 2^j with |M^k|_inf < 1, builds the row table
+    between the squarings. (kind, t_star, value) must agree bit for bit."""
+    a, cv, xv = (np.asarray(v, dtype=float) for v in (m, c, x))
+    power, k = a, 1
+    rows, jump = (cv @ a)[None, :], a
+    while (norm := float(np.abs(power).sum(axis=1).max())) >= 1.0:
+        power, k = power @ power, 2 * k
+        if k <= 4096:
+            rows, jump = np.vstack([rows, rows @ jump]), power
+    tail, chunk = float(np.abs(rows).sum(axis=1).max()), rows
+    for _ in range(k // rows.shape[0] - 1):
+        chunk = chunk @ jump
+        tail = max(tail, float(np.abs(chunk).sum(axis=1).max()))
+    while norm > 0.5 and rows.shape[0] < 4096:
+        rows, jump, norm = np.vstack([rows, rows @ jump]), jump @ jump, norm * norm
+    floor = DEFAULT_TOLS.positive_floor * max(1.0, tail * float(np.abs(xv).max()))
+    best_t, best_val, t, v = None, -math.inf, 0, xv
+    while tail * float(np.abs(v).max()) > max(best_val, floor):
+        vals = rows @ v
+        i = int(np.argmax(vals))
+        if vals[i] > best_val:
+            best_t, best_val = t + i + 1, float(vals[i])
+        v, t = jump @ v, t + rows.shape[0]
+    if best_val > floor:
+        return "attained", best_t, best_val
+    return "supremum-at-infinity", None, 0.0
+
+
 def random_distribution(rng, t):
     p = rng.random(t) + 1e-3
     return p / p.sum()

@@ -11,14 +11,15 @@ import pytest
 import scipy.linalg
 
 import stopcost
-from stopcost import cli, markov_gas
+from stopcost import cli, markov_gas, matrix_core
 from stopcost.cli import build_parser, main
 from stopcost.finite_horizon import CostSequence, cost_sequence_naive
+from stopcost.infinite_horizon import rce_infinite
 from stopcost.scenarios import ComparisonReport, CsocParams, HealthParams, build_csoc_overtime, \
     build_health_chain
 from stopcost.wasserstein import AmbiguitySet, drce_finite
 
-from helpers import geometric_grid_oracle, lazy_cycle
+from helpers import geometric_grid_oracle, lazy_cycle, random_stable, rce_infinite_own_squares
 
 TWO_STATE = {
     "kind": "markov", "n": 2,
@@ -169,10 +170,14 @@ def test_finite_horizon_commands_answer_chains_without_a_stationary_law(
     def forbidden(*args, **kwargs):
         raise AssertionError("a finite-horizon op reached the stationary law")
 
+    # the one squaring loop, wherever cli and markov_gas look it up; certify_stable
+    # reaches it through matrix_core
     monkeypatch.setattr(cli, "MarkovChain", forbidden)
-    monkeypatch.setattr(cli, "certify_stable", forbidden)
+    monkeypatch.setattr(cli, "stable_squares", forbidden)
     monkeypatch.setattr(markov_gas, "_stationary", forbidden)
-    monkeypatch.setattr(markov_gas, "certify_stable", forbidden)
+    monkeypatch.setattr(markov_gas, "_reduce", forbidden)
+    monkeypatch.setattr(markov_gas, "stable_squares", forbidden)
+    monkeypatch.setattr(matrix_core, "stable_squares", forbidden)
     assert run_cli(capsys, "rce", "--model", absorbing, "--horizon", "4") == \
         (0, "t_star,value\n1,1.5\n", "")
     assert run_cli(capsys, "rce", "--model", cycle, "--horizon", "4") == \
@@ -263,6 +268,89 @@ def test_rce_inf_markov_model_adds_offset(tmp_path, capsys):
             direct.append(float(state[0]))
         assert float(value) == pytest.approx(max(direct[1:]), abs=1e-9)
         assert int(t_star) == int(np.argmax(direct[1:])) + 1
+
+
+def test_cost_offset_applies_on_every_subcommand(tmp_path, capsys):
+    """A Markov file's cost_offset shifts every answer, and `convert` writes it
+    into the gas file's offset, whose rce-inf row is then the Markov file's."""
+    model = write_json(tmp_path / "offset.json", {**TWO_STATE, "cost_offset": 5})
+    assert run_cli(capsys, "rce", "--model", model, "--horizon", "3") == \
+        (0, "t_star,value\n1,5.8\n", "")
+    rce_inf = run_cli(capsys, "rce-inf", "--model", model)
+    assert rce_inf == (0, "kind,t_star,value\nattained,1,5.8\n", "")
+    drce_geom = run_cli(capsys, "drce-geom", "--model", model, "--rho", "0.5", "--radius", "0.5")
+    assert drce_geom[0] == 0
+    assert drce_geom[1].split("\n")[1].split(",")[:2] == ["0.666666666667", "5.73913043478"]
+    gas = tmp_path / "gas.json"
+    assert run_cli(capsys, "convert", "--model", model, "--out", str(gas))[0] == 0
+    assert json.loads(gas.read_text())["cost_offset"] == pytest.approx(5 + 1.0 / 3.0, abs=1e-12)
+    assert run_cli(capsys, "rce-inf", "--model", str(gas)) == rce_inf
+    assert run_cli(capsys, "drce-geom", "--model", str(gas), "--rho", "0.5",
+                   "--radius", "0.5") == drce_geom
+    costless = write_json(tmp_path / "costless.json", {**TWO_STATE, "cost": None, "cost_offset": 5})
+    code, out, _ = run_cli(capsys, "convert", "--model", costless)
+    assert code == 0 and json.loads(out)["cost_offset"] == 5
+
+
+def _shifted_cases():
+    """(model, m_bar): lazy-cycle Markov files, random stable gas files, and a gas
+    rotation whose |M^k|_inf < 1 first at k > 4,096, past the row table."""
+    for n in (32, 64, 128):
+        m, c, x0 = lazy_cycle(np.random.default_rng(5 + n), n)
+        a_op, b_op = markov_gas.build_ab(n)
+        yield cli.ModelFile("markov", n, m, c, x0, 0.0), a_op @ m @ b_op
+    rng = np.random.default_rng(389)
+    for _ in range(10):
+        n = int(rng.integers(1, 12))
+        m = random_stable(rng, n, rho_max=0.999)
+        yield cli.ModelFile("gas", n, m, rng.standard_normal(n), rng.standard_normal(n), 0.0), m
+    rng = np.random.default_rng(379)
+    m = scipy.linalg.block_diag(*(0.99999 * np.array([[math.cos(t), -math.sin(t)],
+                                                      [math.sin(t), math.cos(t)]])
+                                  for t in rng.uniform(0.2, 1.3, 10)))
+    x = rng.standard_normal(20)
+    yield cli.ModelFile("gas", 20, m, x, x, 0.0), m
+
+
+def test_rce_inf_shared_squares_are_bit_identical():
+    """The CLI path scans with the squares that certified the model; its result
+    equals, with ==, rce_infinite run afresh on (m_bar, c_bar, v0_bar) and the
+    scan that squared on its own before the squares were shared."""
+    for model, m_bar in _shifted_cases():
+        squares, cost, x0, _ = cli._to_shifted(model)
+        assert np.array_equal(squares.matrix, m_bar)
+        result = rce_infinite(squares, cost, x0)
+        assert result == rce_infinite(m_bar, cost, x0)
+        assert (result.kind, result.t_star, result.value) == \
+            rce_infinite_own_squares(m_bar, cost, x0)
+
+
+def test_rce_inf_on_a_markov_file_squares_once(tmp_path, capsys, monkeypatch):
+    """One rce-inf forms A M B once and runs one squaring pass: every |M^k| row-sum
+    norm of the 63 x 63 reduced matrix's squares is taken once, up to k = 256."""
+    m, c, x0 = lazy_cycle(np.random.default_rng(69), 64)
+    model = write_json(tmp_path / "cycle.json", {"kind": "markov", "n": 64,
+                                                  "matrix": m.ravel().tolist(),
+                                                  "cost": c.tolist(), "x0": x0.tolist()})
+    expected = run_cli(capsys, "rce-inf", "--model", model)
+    a_op, b_op = markov_gas.build_ab(64)
+    k = matrix_core.certify_stable(a_op @ markov_gas._validate_transition(m) @ b_op)
+    assert k == 256
+    calls = {"build_ab": 0, "abs": 0}
+    build_ab, np_abs = markov_gas.build_ab, np.abs
+
+    def counting_build_ab(n):
+        calls["build_ab"] += 1
+        return build_ab(n)
+
+    def counting_abs(a, *args, **kwargs):
+        calls["abs"] += np.shape(a) == (63, 63)
+        return np_abs(a, *args, **kwargs)
+
+    monkeypatch.setattr(markov_gas, "build_ab", counting_build_ab)
+    monkeypatch.setattr(np, "abs", counting_abs)
+    assert run_cli(capsys, "rce-inf", "--model", model) == expected
+    assert calls == {"build_ab": 1, "abs": k.bit_length()}
 
 
 def test_unbounded_ops_reject_unit_radius_gas_model(tmp_path, capsys, monkeypatch):

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from stopcost.config import DEFAULT_TOLS
-from stopcost.matrix_core import _assemble, certify_stable, mat_pow, mat_vec, real_jordan, \
-    spectral_radius
+from stopcost.matrix_core import SQUARES_KEPT, _assemble, certify_stable, mat_pow, mat_vec, \
+    real_jordan, spectral_radius, stable_squares
 
-from helpers import random_stable
+from helpers import random_stable, two_closed_classes_reduced
 
 
 def rotation(theta_deg):
@@ -78,15 +78,30 @@ def test_certify_stable_rejects_unit_and_overflowing_radius():
 def test_certify_stable_needs_a_margin_below_one():
     """Two closed classes: the reduced powers tend to a projector of norm exactly 1,
     which rounding leaves under 1 at n = 243 (a `< 1` test accepted it at k = 1024)."""
-    rng = np.random.default_rng(1)
-    m = np.zeros((243, 243))
-    for lo, hi in ((0, 121), (121, 243)):
-        raw = rng.random((hi - lo, hi - lo))
-        m[lo:hi, lo:hi] = raw / raw.sum(axis=0)
-    a_op = np.tril(np.ones((242, 243)))
-    b_op = np.eye(243, 242) - np.eye(243, 242, -1)
     with pytest.raises(ValueError, match="spectral radius must be strictly below 1"):
-        certify_stable(a_op @ m @ b_op)
+        certify_stable(two_closed_classes_reduced())
+
+
+def test_stable_squares_keep_the_squares_up_to_4096_and_the_last():
+    rng = np.random.default_rng(47)
+    for m in (np.array([[0.9]]), 0.999 * rotation(30.0), random_stable(rng, 6, rho_max=0.99),
+              np.array([[1.0 - 1e-6]])):
+        squares = stable_squares(m)
+        assert squares.k == certify_stable(m)
+        expected, power = [], np.array(m, dtype=float)
+        while len(expected) < len(squares.norms):
+            expected.append(power)
+            power = power @ power
+        assert squares.norms == tuple(_inf_norm(p) for p in expected)
+        kept = [p for j, p in enumerate(expected) if 2 ** j <= SQUARES_KEPT]
+        if len(kept) < len(expected):
+            kept.append(expected[-1])
+        assert len(squares.powers) == len(kept) <= 14
+        assert all(np.array_equal(p, q) and not p.flags.writeable
+                   for p, q in zip(squares.powers, kept))
+    assert stable_squares(np.array([[1.0 - 1e-6]])).k == 2 ** 20
+    m = np.array([[0.5, 1.0], [0.0, 0.5]])
+    assert stable_squares(m).matrix is not m and m.flags.writeable
 
 
 def _distinct_by_loops(lam, tol):
