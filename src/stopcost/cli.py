@@ -21,8 +21,8 @@ gas files alike; `convert` writes a Markov file's offset plus <cost, pi>. Nomina
 distributions are two-column CSV (t, probability) with an optional header.
 All results are written as CSV with 12-significant-digit reals, buffered so
 failures produce no partial output; an `--out` path that cannot be written
-is invalid input. Exit codes: 0 success, 1 computational failure, 2 invalid
-input.
+is invalid input. Exit codes: 0 success, 1 computational failure (a memory
+error included: a horizon too large to allocate), 2 invalid input.
 
 `main` parses with one parser per process: the first call builds it and
 later calls reuse it. `build_parser` still returns a fresh parser.
@@ -353,7 +353,7 @@ def main(argv=None) -> int:
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
+    except (RuntimeError, MemoryError) as exc:     # a computation that cannot finish
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if not out:

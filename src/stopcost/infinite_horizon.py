@@ -16,11 +16,12 @@ g until that falls to max(best, positive_floor * max(1, tail * |x0|_inf)). It ta
 M^k and the squares below it from the certificate of M (`stable_squares`). Angles
 are kept in degrees throughout this module's public types.
 
-The worst geometric stopping law has two routes. `geometric_drce` is the
-paper's: a truncated sum over the expansion, searched by projected gradient
-steps. `geometric_drce_exact`, which the CLI runs, needs neither the expansion
-nor truncation: the objective is the resolvent form rho c^T M (I - (1-rho) M)^{-1} x0,
-interpolated in Chebyshev form over the feasible rates and maximized globally.
+The worst geometric stopping law maximizes F(rho) = sum_t rho (1-rho)^{t-1} g(t)
+over an interval of success rates, with one global maximizer (a Chebyshev
+interpolant and its interior maxima) and either of two exact forms of F, with no
+truncation. `geometric_drce` is the paper's route: it sums the expansion above
+in closed form. `geometric_drce_exact`, which the CLI runs, needs no expansion:
+F(rho) = rho c^T M (I - (1-rho) M)^{-1} x0, one direct solve per rate.
 """
 from __future__ import annotations
 
@@ -179,21 +180,21 @@ def _decay_cap(s: OscillatorySum) -> int:
     return max(1, math.ceil(math.log(DEFAULT_TOLS.decay_floor / total) / math.log(zeta)))
 
 
-def _scan_first_positive(s: OscillatorySum, hi: int, floor: float) -> int | None:
-    """First t in [1, hi] with g(t) > floor, or None.
+def _scan_first_positive(s: OscillatorySum, hi: int, floor: float,
+                         start: int = 1, step: int = 1) -> int | None:
+    """First t in start, start + step, ... up to hi with g(t) > floor, or None.
 
     The window doubles from 64 to 65,536 points, so an early hit evaluates
     little; g is evaluated pointwise, so the hit does not depend on the windows.
     """
-    t, width = 1, 64
+    t, width = start, 64
     while t <= hi:
-        chunk = min(hi, t + width - 1)
-        ts = np.arange(t, chunk + 1, dtype=np.int64)
+        ts = np.arange(t, min(hi, t + step * (width - 1)) + 1, step, dtype=np.int64)
         vals = _eval_array(s, ts)
         hits = np.flatnonzero(vals > floor)
         if hits.size:
             return int(ts[hits[0]])
-        t = chunk + 1
+        t = int(ts[-1]) + step
         width = min(2 * width, 65536)
     return None
 
@@ -250,15 +251,6 @@ def find_t0(s: OscillatorySum) -> CutoffResult:
     return _find_t0_complex(s, pos_floor, cap)
 
 
-def _advance_positive(s, t0, step, cap, pos_floor):
-    t = t0
-    while t <= cap:
-        if eval_g(s, t) > pos_floor:
-            return t
-        t += step
-    return None
-
-
 def _find_t0_real(s: OscillatorySum, pos_floor: float, cap: int) -> CutoffResult:
     w_p, lam_p = s.real_terms[-1].weight, s.real_terms[-1].rate
     other_mags = [t.magnitude for t in s.complex_terms] + \
@@ -274,7 +266,7 @@ def _find_t0_real(s: OscillatorySum, pos_floor: float, cap: int) -> CutoffResult
             t0, step = 1, 2
         else:
             return CutoffResult(None, None, tag)
-        t0 = _advance_positive(s, t0, step, cap, pos_floor)
+        t0 = _scan_first_positive(s, cap, pos_floor, t0, step)
         return CutoffResult(t0, None, tag)
 
     eps = max(other_mags) / abs(lam_p)    # < 1 by magnitude ordering
@@ -285,13 +277,13 @@ def _find_t0_real(s: OscillatorySum, pos_floor: float, cap: int) -> CutoffResult
 
     if w_p > 0 and lam_p > 0:
         t0 = 1 + max(math.ceil(log_ratio(w_p / beta)), 1)
-        t0 = _advance_positive(s, t0, 1, cap, pos_floor)
+        t0 = _scan_first_positive(s, cap, pos_floor, t0)
     elif w_p > 0 and lam_p < 0:
         t0 = 2 + 2 * max(math.ceil(0.5 * log_ratio(w_p / beta)), 1)
-        t0 = _advance_positive(s, t0, 2, cap, pos_floor)
+        t0 = _scan_first_positive(s, cap, pos_floor, t0, 2)
     elif w_p < 0 and lam_p < 0:
         t0 = 2 * max(math.ceil(0.5 * log_ratio(-w_p / beta)), 1) + 1
-        t0 = _advance_positive(s, t0, 2, cap, pos_floor)
+        t0 = _scan_first_positive(s, cap, pos_floor, t0, 2)
     else:                                 # w_p < 0, lam_p > 0: eventually negative
         edge = math.floor(log_ratio(-w_p / beta)) if -w_p / beta < 1.0 else 0
         if edge < 1:
@@ -474,59 +466,6 @@ def _feasible_rates(rho_hat: float, xi: float, eps: float) -> tuple[float, float
     return lo, hi
 
 
-def geometric_drce(s: OscillatorySum, rho_hat: float, xi: float,
-                   eps: float) -> tuple[float, float, float]:
-    """Worst geometric stopping law within Wasserstein radius xi of Geom(rho_hat).
-
-    The paper's fixed-step search, kept for the library; the CLI runs
-    `geometric_drce_exact`. The Wasserstein-1 distance between geometric laws
-    is |1/rho - 1/rho_hat|, so the feasible success rates form an interval;
-    the truncated objective sum_{t<=n0} g(t) (1-rho)^{t-1} rho (truncation
-    error below eps (1-rho)^n0) is maximized by projected gradient ascent with
-    8 evenly spaced restarts of up to 500 steps. A restart stops at its exact
-    fixed point, where the clipped step returns the same rho: every later step
-    would repeat the same comparison, so the result is bit-identical to running
-    all 500 steps. The step is fixed at 0.1 (hi - lo), so near an interior
-    maximum a restart can creep or cycle for all 500 steps and stop short of
-    it: on a 64-state lazy cycle at (rho_hat, xi) = (0.5, 0.2) the value is
-    3.0e-7 below the true maximum while the reported bound is below 1e-9.
-    Returns (rho_star, value, truncation error bound).
-    """
-    lo, hi = _feasible_rates(rho_hat, xi, eps)
-    n0 = find_n0(s, eps)
-    ts = np.arange(1, n0 + 1, dtype=np.int64)
-    g_vals = _eval_array(s, ts)
-    tf = ts.astype(float)
-
-    def objective(rho: float) -> float:
-        return float(np.sum(g_vals * (1.0 - rho) ** (tf - 1.0) * rho))
-
-    def gradient(rho: float) -> float:
-        base = (1.0 - rho) ** np.maximum(tf - 2.0, 0.0)
-        dterm = np.where(ts == 1, 1.0, base * ((1.0 - rho) - (tf - 1.0) * rho))
-        return float(np.sum(g_vals * dterm))
-
-    width = hi - lo
-    step = 0.1 * width
-    best_rho, best_val = lo, objective(lo)
-    for start in np.linspace(lo, hi, 8):
-        rho = float(start)
-        for _ in range(500):
-            val = objective(rho)
-            if val > best_val + 1e-15 or (abs(val - best_val) <= 1e-15 and rho < best_rho):
-                best_rho, best_val = rho, val
-            if step == 0.0:
-                break
-            nxt = float(np.clip(rho + step * gradient(rho), lo, hi))
-            if nxt == rho:
-                break
-            rho = nxt
-        val = objective(rho)
-        if val > best_val + 1e-15 or (abs(val - best_val) <= 1e-15 and rho < best_rho):
-            best_rho, best_val = rho, val
-    return best_rho, best_val, float(eps * (1.0 - best_rho) ** n0)
-
-
 _CHEB_START = 16             # first interpolation degree: 17 Chebyshev-Lobatto nodes
 _CHEB_MAX_DEGREE = 1024      # the degree doubles up to this: at most 1,025 direct solves
 _ROUNDING = 64 * np.finfo(float).eps    # coefficients under this times max(1, max|F|) are noise
@@ -591,38 +530,19 @@ def _interior_maxima(coef: np.ndarray, noise: float) -> list[float]:
     return sorted(found)
 
 
-def geometric_drce_exact(m, c, x, rho_hat: float, xi: float,
-                         eps: float) -> tuple[float, float, float]:
-    """Worst geometric stopping law within Wasserstein radius xi of Geom(rho_hat),
-    by the exact resolvent: a global maximum with no truncation and no eigensolver.
+def _maximize_on_rates(objective, lo: float, hi: float,
+                       eps: float) -> tuple[float, float, float]:
+    """Global maximum of a smooth scalar objective on the rates [lo, hi].
 
-    M must have spectral radius below 1 (`certify_stable`; the CLI certifies it).
-    The objective sum_t rho (1-rho)^{t-1} <c, M^t x> is the generating function
-    of the cost at 1 - rho, F(rho) = rho c^T M (I - (1-rho) M)^{-1} x, evaluated
-    by one direct solve per rho. F is interpolated at Chebyshev-Lobatto nodes on
-    the feasible interval [lo, hi], starting from degree 16 and doubling (the
-    nodes nest) until the top quarter of the Chebyshev coefficients is at most
-    eps max(1, max|F|); past degree _CHEB_MAX_DEGREE a RuntimeError is raised.
-    The maximum is the best of lo, hi and the interior maxima of the
-    interpolant (`_interior_maxima`), each re-evaluated by a direct solve; ties
-    go to the smaller rho. For a Markov chain, pass its shifted form (`to_gas`)
-    and add the cost offset to the value: the weights sum to 1. Returns
+    The objective is interpolated at Chebyshev-Lobatto nodes, starting from
+    degree _CHEB_START and doubling (the nodes nest) until the top quarter of the
+    Chebyshev coefficients is at most eps max(1, max|F|); past degree
+    _CHEB_MAX_DEGREE a RuntimeError is raised. The maximum is the best of lo, hi
+    and the interior maxima of the interpolant (`_interior_maxima`), each
+    re-evaluated by the objective; ties go to the smaller rho. Returns
     (rho_star, value, tail): the tail is that top-quarter coefficient size, an
-    estimate of the interpolation error, never below _ROUNDING max(1, max|F|),
-    so eps must be at least _ROUNDING.
+    estimate of the interpolation error, never below _ROUNDING max(1, max|F|).
     """
-    lo, hi = _feasible_rates(rho_hat, xi, eps)
-    if eps < _ROUNDING:
-        raise ValueError(f"eps must be at least {_ROUNDING:.3g}, the rounding level of "
-                         f"the interpolated values, got {eps!r}")
-    a, cv, xv = _system(m, c, x)
-    mx = a @ xv
-
-    def objective(rho: float) -> float:
-        lhs = (rho - 1.0) * a
-        lhs.flat[::a.shape[0] + 1] += 1.0
-        return rho * float(cv @ np.linalg.solve(lhs, mx))
-
     if hi == lo:
         return lo, objective(lo), 0.0
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
@@ -635,8 +555,8 @@ def geometric_drce_exact(m, c, x, rho_hat: float, xi: float,
     vals = np.array([objective(hi), *objectives(nodes[1:-1]), objective(lo)])
     while True:
         if not np.isfinite(vals).all():
-            raise RuntimeError("the resolvent objective is not finite on the feasible "
-                               "interval: the matrix is not strictly stable")
+            raise RuntimeError("the objective is not finite on the feasible "
+                               "interval: the system is not strictly stable")
         coef = _lobatto_coefficients(vals)
         scale = max(1.0, float(np.abs(vals).max()))
         tail = max(float(np.abs(coef[3 * deg // 4:]).max()), _ROUNDING * scale)
@@ -656,6 +576,64 @@ def geometric_drce_exact(m, c, x, rho_hat: float, xi: float,
     values = [float(vals[-1]), *(objective(rho) for rho in inner), float(vals[0])]
     best = int(np.argmax(values))          # the first maximum: ties go to the smaller rho
     return rhos[best], values[best], tail
+
+
+def geometric_drce(s: OscillatorySum, rho_hat: float, xi: float,
+                   eps: float) -> tuple[float, float, float]:
+    """Worst geometric stopping law within Wasserstein radius xi of Geom(rho_hat),
+    from the paper's expansion of g.
+
+    The Wasserstein-1 distance between geometric laws is |1/rho - 1/rho_hat|, so
+    the feasible success rates form an interval [lo, hi]. The objective
+    F(rho) = sum_{t>=1} rho (1-rho)^{t-1} g(t) is summed in closed form, over all
+    t: a real term w lambda^t gives w rho lambda / (1 - (1-rho) lambda), and an
+    oscillation d r^t cos(t theta + eta) gives Re(d e^{i eta} rho z / (1 - (1-rho) z))
+    with z = r e^{i theta}. F is maximized globally by the maximizer that
+    `geometric_drce_exact` uses, to a Chebyshev tail of max(eps, _ROUNDING)
+    max(1, max|F|). Returns (rho_star, value, bound): the bound is
+    eps (1-rho_star)^n0 with n0 = find_n0(s, eps), the error of the paper's sum
+    truncated at n0 at rho_star; the value itself carries no truncation.
+    """
+    lo, hi = _feasible_rates(rho_hat, xi, eps)
+    z = np.array([t.magnitude * np.exp(1j * math.radians(t.theta_deg)) for t in s.complex_terms]
+                 + [t.rate for t in s.real_terms], dtype=complex)
+    weight = np.array([t.amplitude * np.exp(1j * math.radians(t.eta_deg)) for t in s.complex_terms]
+                      + [t.weight for t in s.real_terms], dtype=complex)
+
+    def objective(rho: float) -> float:
+        return float((weight * (rho * z / (1.0 - (1.0 - rho) * z))).real.sum())
+
+    rho_star, value, _ = _maximize_on_rates(objective, lo, hi, max(eps, _ROUNDING))
+    return float(rho_star), value, float(eps * (1.0 - rho_star) ** find_n0(s, eps))
+
+
+def geometric_drce_exact(m, c, x, rho_hat: float, xi: float,
+                         eps: float) -> tuple[float, float, float]:
+    """Worst geometric stopping law within Wasserstein radius xi of Geom(rho_hat),
+    by the exact resolvent: a global maximum with no truncation and no eigensolver.
+
+    M must have spectral radius below 1 (`certify_stable`; the CLI certifies it).
+    The objective sum_t rho (1-rho)^{t-1} <c, M^t x> is the generating function
+    of the cost at 1 - rho, F(rho) = rho c^T M (I - (1-rho) M)^{-1} x, evaluated
+    by one direct solve per rho and maximized by `_maximize_on_rates`. For a
+    Markov chain, pass its shifted form (`to_gas`) and add the cost offset to the
+    value: the weights sum to 1. Returns (rho_star, value, tail): the tail is the
+    top-quarter Chebyshev coefficient size, an estimate of the interpolation
+    error, never below _ROUNDING max(1, max|F|), so eps must be at least _ROUNDING.
+    """
+    lo, hi = _feasible_rates(rho_hat, xi, eps)
+    if eps < _ROUNDING:
+        raise ValueError(f"eps must be at least {_ROUNDING:.3g}, the rounding level of "
+                         f"the interpolated values, got {eps!r}")
+    a, cv, xv = _system(m, c, x)
+    mx = a @ xv
+
+    def objective(rho: float) -> float:
+        lhs = (rho - 1.0) * a
+        lhs.flat[::a.shape[0] + 1] += 1.0
+        return rho * float(cv @ np.linalg.solve(lhs, mx))
+
+    return _maximize_on_rates(objective, lo, hi, eps)
 
 
 def adversarial_instance(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -219,63 +219,6 @@ def oscillatory_values(s, ts):
     return out
 
 
-def geometric_drce_oracle(s, rho_hat, xi, eps, fixed_steps=None):
-    """Worst geometric stopping law by the full projected-gradient search.
-
-    Every one of the 8 restarts takes all 500 steps, with no early exit, and
-    the point each restart ends on is compared once more after its loop.
-    Returns (rho_star, value, truncation error bound). If `fixed_steps` is a
-    list, each restart appends to it the first step whose update left rho
-    unchanged, or None if there was none.
-    """
-    lo = rho_hat / (1.0 + rho_hat * xi)
-    hi = 1.0 if rho_hat * xi >= 1.0 else min(1.0, rho_hat / (1.0 - rho_hat * xi))
-    lo = min(max(lo, 1e-12), 1.0 - 1e-12)
-    total = s.amplitude_total
-    zeta = s.top_magnitude
-    if total <= 0.0 or zeta <= 0.0:
-        n0 = 1
-    else:
-        n0 = max(1, math.ceil(math.log(min(eps / total, 1.0)) / math.log(zeta)) + 1)
-    ts = np.arange(1, n0 + 1, dtype=np.int64)
-    g_vals = oscillatory_values(s, ts)
-    tf = ts.astype(float)
-
-    def objective(rho):
-        return float(np.sum(g_vals * (1.0 - rho) ** (tf - 1.0) * rho))
-
-    def gradient(rho):
-        base = (1.0 - rho) ** np.maximum(tf - 2.0, 0.0)
-        dterm = np.where(ts == 1, 1.0, base * ((1.0 - rho) - (tf - 1.0) * rho))
-        return float(np.sum(g_vals * dterm))
-
-    def better(rho, val, best_rho, best_val):
-        return val > best_val + 1e-15 or (abs(val - best_val) <= 1e-15 and rho < best_rho)
-
-    step = 0.1 * (hi - lo)
-    best_rho, best_val = lo, objective(lo)
-    for start in np.linspace(lo, hi, 8):
-        rho = float(start)
-        fixed = None
-        for k in range(500):
-            val = objective(rho)
-            if better(rho, val, best_rho, best_val):
-                best_rho, best_val = rho, val
-            if step == 0.0:
-                break
-            nxt = float(np.clip(rho + step * gradient(rho), lo, hi))
-            if fixed is None and nxt == rho:
-                fixed = k
-            rho = nxt
-        if fixed_steps is not None:
-            fixed_steps.append(fixed)
-        val = objective(rho)
-        if better(rho, val, best_rho, best_val):
-            best_rho, best_val = rho, val
-    return best_rho, best_val, float(eps * (1.0 - best_rho) ** n0)
-
-
-
 def geometric_grid_oracle(m, c, x0, rhos):
     """sum_t rho (1-rho)^(t-1) <c, M^t x0> for each rho in `rhos`, by the plain
     recurrence on (M, c, x0) until (1 - min rho)^t drops below 1e-16."""

@@ -391,10 +391,8 @@ def test_drce_geom_scalar(tmp_path, capsys):
     assert 0.0 <= bound <= 1e-9
 
 
-# Rows printed before the optimizer stopped restarts at their fixed points and
-# the first-positive scan grew its windows; both must leave them byte for byte.
-# drce-geom's third column is the Chebyshev tail estimate since it moved to the
-# exact resolvent: here the rounding floor, 64 ulps of max(1, max|F|) = 1.
+# Pinned byte for byte. drce-geom's third column is the Chebyshev tail estimate
+# of the exact resolvent: here the rounding floor, 64 ulps of max(1, max|F|) = 1.
 UNBOUNDED_GOLDEN_ROWS = {
     (32, "rce-inf"): "attained,8,0.492856287829",
     (32, "drce-geom"): "0.0181818181818,0.429817201252,1.42108547152e-14",
@@ -750,6 +748,19 @@ def test_unwritable_out_is_invalid_input(target, tmp_path, capsys):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
     assert not (tmp_path / "missing").exists()
+
+
+def test_unallocatable_horizon_is_a_computational_failure(tmp_path, capsys):
+    """A horizon of 1e14 steps needs a 728 TiB cost array, which numpy refuses
+    at once with a MemoryError; main reports it and exits 1."""
+    model = write_json(tmp_path / "scalar.json", SCALAR_GAS)
+    nominal = tmp_path / "nominal.csv"
+    nominal.write_text("100000000000000,0.0\n")
+    for argv in (["rce", "--horizon", "100000000000000"],
+                 ["drce", "--nominal", str(nominal), "--radius", "1"]):
+        code, out, err = run_cli(capsys, *argv, "--model", model)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith("error:") and "Traceback" not in err, err
 
 
 def test_main_keeps_no_state_between_calls(tmp_path, capsys):

@@ -8,6 +8,7 @@ import stopcost.infinite_horizon as infinite_horizon
 import stopcost.matrix_core as matrix_core
 from stopcost.infinite_horizon import (
     ComplexTerm,
+    CutoffResult,
     OscillatorySum,
     RealTerm,
     _scan_first_positive,
@@ -27,7 +28,7 @@ from stopcost.infinite_horizon import (
 from stopcost.markov_gas import MarkovChain, project_state, to_gas, transfer_cost
 from stopcost.matrix_core import mat_pow, stable_squares
 
-from helpers import (exact_cost_values, geometric_drce_oracle, geometric_grid_oracle, lazy_cycle,
+from helpers import (exact_cost_values, geometric_grid_oracle, lazy_cycle,
                      oscillatory_values, random_stable, rce_infinite_own_squares,
                      two_closed_classes_reduced)
 
@@ -244,6 +245,35 @@ def test_scan_windows_find_the_same_first_positive():
     for s, hi, floor, first in cases:
         assert first_positive_in_one_window(s, hi, floor) == first
         assert _scan_first_positive(s, hi, floor) == first, (s, hi, floor)
+    strided = [                      # (sum, hi, floor, start, step, first hit)
+        (turning_positive_at(150), 1000, 0.0, 100, 1, 150),
+        (turning_positive_at(150), 1000, 0.0, 151, 1, 151),
+        (turning_positive_at(150), 1000, 0.0, 1, 2, 151),    # the hit is in the second window
+        (turning_positive_at(150), 1000, 0.0, 2, 2, 150),
+        (turning_positive_at(150), 1000, 1e-12, 5, 7, 152),
+        (turning_positive_at(150), 151, 0.0, 5, 7, None),    # hi falls between the strides
+        (turning_positive_at(150), 1000, 0.0, 1001, 1, None),
+        (late, 1000, 0.0, 1, 2, 819),
+        (late, 1000, 0.0, 2, 2, 820),
+        (late, 1000, 0.0, 3, 9, 822),
+    ]
+    for s, hi, floor, start, step, first in strided:
+        pointwise = next((t for t in range(start, hi + 1, step) if eval_g(s, t) > floor), None)
+        assert pointwise == first, (start, step, pointwise)
+        assert _scan_first_positive(s, hi, floor, start, step) == first, (s, hi, floor, start, step)
+
+
+def test_find_t0_scans_in_windows(monkeypatch):
+    """The dominant term 1e-13 * 0.9999^t stays under the floor through the decay
+    cap (276,297), so the domination witness is never confirmed and the scan
+    falls back to t = 1; both scans evaluate g in windows, not point by point."""
+    s = decompose(np.diag([0.9999, 0.5]), [1e-13, 1.0], [1.0, 1.0])
+    calls = []
+    evaluate = infinite_horizon._eval_array
+    monkeypatch.setattr(infinite_horizon, "_eval_array",
+                        lambda s, ts: calls.append(ts.shape[0]) or evaluate(s, ts))
+    assert find_t0(s) == CutoffResult(1, None, "real-pos-pos")
+    assert len(calls) < 100 and sum(calls) > 276_000
 
 
 # ---------------------------------------------------------------- find_n0 ---
@@ -627,58 +657,93 @@ def test_geometric_drce_validation():
             geometric_drce(s, 0.5, 0.5, bad)
 
 
-def cycle_sum(n, seed):
-    """The oscillatory sum that `drce-geom` builds for a lazy-cycle chain."""
+def cycle_system(n, seed):
+    """The reduced system (m_bar, cost, state) that `drce-geom` builds for a lazy-cycle chain."""
     m, c, x0 = lazy_cycle(np.random.default_rng(seed), n)
     gas = to_gas(MarkovChain.from_transition(m))
     cost, _ = transfer_cost(gas, c)
-    return decompose(gas.m_bar, cost, project_state(gas, x0))
+    return gas.m_bar, cost, project_state(gas, x0)
 
 
-def assert_matches_full_search(s, rho_hat, xi, eps=1e-9):
-    fixed_steps = []
-    expected = geometric_drce_oracle(s, rho_hat, xi, eps, fixed_steps)
-    assert geometric_drce(s, rho_hat, xi, eps) == expected, (rho_hat, xi)
-    return expected, fixed_steps
+def truncated_grid_max(s, lo, hi, eps):
+    """Largest truncated objective sum_{t<=n0} rho (1-rho)^(t-1) g(t) over 10,000
+    rates in [lo, hi], with n0 the log bound at eps and g summed term by term."""
+    total, zeta = s.amplitude_total, s.top_magnitude
+    n0 = 1 if total <= 0.0 or zeta <= 0.0 else \
+        max(1, math.ceil(math.log(min(eps / total, 1.0)) / math.log(zeta)) + 1)
+    g = oscillatory_values(s, np.arange(1, n0 + 1, dtype=np.int64))
+    rhos = np.unique(np.linspace(lo, hi, 10_000))
+    acc, q = np.zeros(rhos.shape[0]), 1.0 - rhos
+    for value in g[::-1]:                        # Horner in q = 1 - rho
+        acc = acc * q + value
+    return float((rhos * acc).max())
 
 
-def test_geometric_drce_equals_full_search_on_random_systems():
+def assert_geometric_drce_is_the_maximum(s, system, rho_hat, xi, interior=False, eps=1e-9):
+    """geometric_drce on the sum `s` of `system` = (M, c, x) against the truncated
+    grid and against geometric_drce_exact on the same system."""
+    rho_star, value, bound = geometric_drce(s, rho_hat, xi, eps)
+    lo, hi = feasible_rates(rho_hat, xi)
+    grid = truncated_grid_max(s, lo, hi, eps)
+    scale = max(1.0, abs(grid))
+    assert value >= grid - 1e-9 * scale, (rho_hat, xi, grid - value)
+    assert lo <= rho_star <= hi
+    if interior:
+        assert lo < rho_star < hi
+    if xi == 0.0:
+        assert rho_star == rho_hat
+    assert value == pytest.approx(geometric_drce_exact(*system, rho_hat, xi, eps)[1],
+                                  abs=1e-12 * scale), (rho_hat, xi)
+    assert bound == eps * (1.0 - rho_star) ** find_n0(s, eps)
+    return rho_star, value
+
+
+def test_geometric_drce_is_the_maximum_on_random_systems():
     rng = np.random.default_rng(359)
     for n in range(1, 13):
-        m = random_stable(rng, n)
-        s = decompose(m, rng.standard_normal(n), rng.standard_normal(n))
+        system = random_stable(rng, n), rng.standard_normal(n), rng.standard_normal(n)
+        s = decompose(*system)
         if s.is_empty:
             continue
-        assert_matches_full_search(s, 0.3, 0.5)
-        assert_matches_full_search(s, float(rng.uniform(0.05, 0.9)), float(rng.uniform(0.0, 2.0)))
+        assert_geometric_drce_is_the_maximum(s, system, 0.3, 0.5)
+        assert_geometric_drce_is_the_maximum(s, system, float(rng.uniform(0.05, 0.9)),
+                                             float(rng.uniform(0.0, 2.0)))
 
 
-def test_geometric_drce_equals_full_search_on_lazy_cycles():
-    for n in (32, 64, 128):
-        s = cycle_sum(n, 5 + n)
-        _, fixed_steps = assert_matches_full_search(s, 0.02, 5.0)
-        assert None not in fixed_steps            # every restart stops early here
-        _, fixed_steps = assert_matches_full_search(s, 0.02, 0.0)
-        assert fixed_steps == [None] * 8          # xi = 0: one point, no steps
+@pytest.mark.parametrize("n", [32, 64, 128])
+def test_geometric_drce_is_the_maximum_on_lazy_cycles(n):
+    system = cycle_system(n, 5 + n)
+    s = decompose(*system)
+    assert_geometric_drce_is_the_maximum(s, system, 0.02, 5.0)
+    assert_geometric_drce_is_the_maximum(s, system, 0.02, 0.0)
 
 
-def test_geometric_drce_equals_full_search_when_no_restart_settles():
-    _, fixed_steps = assert_matches_full_search(cycle_sum(64, 69), 0.5, 0.2)
-    assert fixed_steps == [None] * 8
-    # with this curvature the restarts end cycling between two floats that
-    # straddle the interior maximum, so no step ever returns the same rho
-    s = decompose(np.diag([0.9, 0.2]), [40.0, -121.6], ONES)
-    _, fixed_steps = assert_matches_full_search(s, 0.3, 0.5)
-    assert fixed_steps == [None] * 8
+def test_geometric_drce_finds_interior_maxima_where_a_search_cycles():
+    """A fixed-step projected-gradient search never settles near these maxima:
+    on the 64-state cycle it stops 3.0e-7 short (0.152903499)."""
+    system = cycle_system(64, 69)
+    rho_star, value = assert_geometric_drce_is_the_maximum(
+        decompose(*system), system, 0.5, 0.2, interior=True)
+    assert rho_star == pytest.approx(0.547155, abs=1e-6)
+    assert value >= 0.1529038034
+    system = np.diag([0.9, 0.2]), np.array([40.0, -121.6]), ONES
+    assert_geometric_drce_is_the_maximum(decompose(*system), system, 0.3, 0.5, interior=True)
 
 
-def test_geometric_drce_equals_full_search_at_interior_fixed_points():
-    lo, hi = 0.3 / 1.15, 0.3 / 0.85
+def test_geometric_drce_finds_interior_fixed_points():
+    """Here a fixed-step projected-gradient search creeps to an interior point
+    and stops; the closed form must reach the same interior maximum."""
     for scale in (5.0, 10.0):
-        s = decompose(np.diag([0.9, 0.2]), [scale, -3.04 * scale], ONES)
-        (rho_star, _, _), fixed_steps = assert_matches_full_search(s, 0.3, 0.5)
-        assert None not in fixed_steps
-        assert lo < rho_star < hi
+        system = np.diag([0.9, 0.2]), np.array([scale, -3.04 * scale]), ONES
+        assert_geometric_drce_is_the_maximum(decompose(*system), system, 0.3, 0.5, interior=True)
+
+
+def test_geometric_drce_near_a_unit_eigenvalue():
+    """lambda = 0.999: F(rho) = 0.999 rho / (1 - 0.999 (1 - rho)) rises to 0.999
+    at rho = 1, which the closed form gives exactly."""
+    s = decompose(np.array([[0.999]]), [1.0], [1.0])
+    for rho_hat, xi in ((1e-4, 1e4), (0.5, 1e6)):
+        assert geometric_drce(s, rho_hat, xi, 1e-9)[:2] == (1.0, 0.999)
 
 
 # --------------------------------------------- geometric drce by the resolvent ---
@@ -720,8 +785,8 @@ def test_geometric_drce_exact_scalar_fixture():
 
 def test_geometric_drce_exact_beats_grid_and_search_on_random_systems():
     """xi = 0 (one rate), a random radius, and rho_hat * xi >= 1 (hi = 1), each at
-    rho_hat in {0.02, 0.3, 0.5}; where decompose succeeds the paper's search
-    agrees to 1e-9 of the oracle's scale."""
+    rho_hat in {0.02, 0.3, 0.5}; where decompose succeeds the paper's closed form
+    (`geometric_drce`) agrees to 1e-9 of the oracle's scale."""
     rng = np.random.default_rng(367)
     compared = 0
     for i in range(54):
@@ -748,13 +813,13 @@ def test_geometric_drce_exact_beats_grid_on_lazy_cycles(n):
     s = decompose(*system)
     for rho_hat, xi in ((0.02, 5.0), (0.3, 0.0), (0.5, 2.0), (0.02, 60.0)):
         value, scale = assert_beats_grid(system, rho_hat, xi, (m, c, x0), offset)
-        if (rho_hat, xi) in ((0.02, 5.0), (0.3, 0.0)):    # where the search is quick
-            assert value >= geometric_drce(s, rho_hat, xi, 1e-9)[1] + offset - 1e-9 * scale
+        assert value >= geometric_drce(s, rho_hat, xi, 1e-9)[1] + offset - 1e-9 * scale
 
 
 def test_geometric_drce_exact_finds_the_interior_maximum_the_search_misses():
-    """On this chain the fixed-step search never settles and stops 3.0e-7 short
-    (0.704345566994 at rho = 0.545667, with a reported bound below 1e-9)."""
+    """On this chain a fixed-step projected-gradient search never settles and
+    stops 3.0e-7 short (0.704345566994 at rho = 0.545667, with a truncation bound
+    below 1e-9); the global maximizer finds the interior maximum."""
     m, c, x0 = lazy_cycle(np.random.default_rng(69), 64)
     gas = to_gas(MarkovChain.from_transition(m))
     cost, offset = transfer_cost(gas, c)
