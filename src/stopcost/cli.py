@@ -33,6 +33,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -112,22 +113,33 @@ def load_nominal(path: str) -> np.ndarray:
     entries: dict[int, float] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        rows = (row for row in reader if row and row[0].strip())
-        for index, row in enumerate(rows):
+        first = True
+        for row in reader:
+            if not row or not row[0].strip():
+                continue
             try:
                 t = int(row[0])
             except ValueError:
-                if index == 0:
+                if first:
+                    first = False
                     continue        # header line
                 raise ValueError(f"{path}: line {reader.line_num} ({','.join(row)!r}) "
                                  f"has a non-integer stopping time") from None
+            first = False
             if len(row) < 2:
                 raise ValueError(f"{path}: row for t={t} lacks a probability column")
             if t < 1:
                 raise ValueError(f"{path}: stopping times must be >= 1, got {t}")
             if t in entries:
                 raise ValueError(f"{path}: duplicate row for t={t}")
-            entries[t] = float(row[1])
+            try:
+                prob = float(row[1])
+            except ValueError:
+                prob = math.nan
+            if not math.isfinite(prob):
+                raise ValueError(f"{path}: line {reader.line_num} ({','.join(row)!r}) "
+                                 f"has a probability that is not a finite number")
+            entries[t] = prob
     if not entries:
         raise ValueError(f"{path}: no (t, probability) rows found")
     horizon = max(entries)

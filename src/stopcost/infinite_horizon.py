@@ -260,13 +260,15 @@ def _find_t0_real(s: OscillatorySum, pos_floor: float, cap: int) -> CutoffResult
     tag = f"real-{'pos' if w_p > 0 else 'neg'}-{'pos' if lam_p > 0 else 'neg'}"
 
     if beta == 0.0:                       # single surviving term
+        # g(t) = w_p lam_p^t is positive on every t, the even t or the odd t,
+        # and shrinks along them, so only the first such t can be a hit
         if w_p > 0:
-            t0, step = (1, 1) if lam_p > 0 else (2, 2)
+            t0 = 1 if lam_p > 0 else 2
         elif lam_p < 0:
-            t0, step = 1, 2
+            t0 = 1
         else:
             return CutoffResult(None, None, tag)
-        t0 = _scan_first_positive(s, cap, pos_floor, t0, step)
+        t0 = _scan_first_positive(s, min(cap, t0), pos_floor, t0)
         return CutoffResult(t0, None, tag)
 
     eps = max(other_mags) / abs(lam_p)    # < 1 by magnitude ordering
@@ -276,14 +278,11 @@ def _find_t0_real(s: OscillatorySum, pos_floor: float, cap: int) -> CutoffResult
         return math.log(x) / log_eps
 
     if w_p > 0 and lam_p > 0:
-        t0 = 1 + max(math.ceil(log_ratio(w_p / beta)), 1)
-        t0 = _scan_first_positive(s, cap, pos_floor, t0)
+        witness, step = 1 + max(math.ceil(log_ratio(w_p / beta)), 1), 1
     elif w_p > 0 and lam_p < 0:
-        t0 = 2 + 2 * max(math.ceil(0.5 * log_ratio(w_p / beta)), 1)
-        t0 = _scan_first_positive(s, cap, pos_floor, t0, 2)
+        witness, step = 2 + 2 * max(math.ceil(0.5 * log_ratio(w_p / beta)), 1), 2
     elif w_p < 0 and lam_p < 0:
-        t0 = 2 * max(math.ceil(0.5 * log_ratio(-w_p / beta)), 1) + 1
-        t0 = _scan_first_positive(s, cap, pos_floor, t0, 2)
+        witness, step = 2 * max(math.ceil(0.5 * log_ratio(-w_p / beta)), 1) + 1, 2
     else:                                 # w_p < 0, lam_p > 0: eventually negative
         edge = math.floor(log_ratio(-w_p / beta)) if -w_p / beta < 1.0 else 0
         if edge < 1:
@@ -294,10 +293,15 @@ def _find_t0_real(s: OscillatorySum, pos_floor: float, cap: int) -> CutoffResult
         if vals[best] > pos_floor:
             return CutoffResult(int(ts[best]), edge, tag)
         return CutoffResult(None, None, tag)
+    # From the witness on, 0 < g(t) < 2 |w_p| |lam_p|^t along the stride and
+    # g(t) < 0 off it, so a hit there comes before that envelope (plus one
+    # point for rounding) drops to the floor.
+    last = math.floor(math.log(pos_floor / (2.0 * abs(w_p))) / math.log(abs(lam_p))) + 1
+    t0 = _scan_first_positive(s, min(cap, last), pos_floor, witness, step)
     if t0 is None:
         # The guaranteed-domination witness decayed below the floor; a
         # transient from the subdominant terms can still poke positive early.
-        t0 = _scan_first_positive(s, cap, pos_floor)
+        t0 = _scan_first_positive(s, min(cap, witness - 1), pos_floor)
     return CutoffResult(t0, None, tag)
 
 

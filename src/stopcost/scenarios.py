@@ -17,16 +17,18 @@ is exceeded in realization. The rollouts of all samples step together as
 arrays; each sample's seeded substream is drawn in one call beforehand, so the
 realized costs are bit-identical to drawing and stepping one sample at a time.
 Sample i's substream is numpy's `Generator(PCG64(SeedSequence(entropy=seed,
-spawn_key=(i,))))`, but no SeedSequence is built per sample: a vectorized
-replica of SeedSequence's hashing and PCG64's seeding computes every stream's
-start state at once. How the draws follow depends on the block's longest
-stream. If no stream is longer than 32 draws (the packaged SIR/SVIR studies
-draw at most 16 per stream), draw j of every stream is computed at once from
-the PCG64 recurrence, as M^j times the start state plus (M^(j-1) + ... + 1)
-times the increment mod 2**128, and no generator is built. A block with a
-longer stream (csoc's streams reach 242 draws) sets each stream's start state
-on one reused generator and draws it there, which is the cheaper way for long
-streams. Both give numpy's draws bit for bit.
+spawn_key=(i,))))`, but no SeedSequence is built per sample: each block of
+samples reads the seed's mixed pool off one `SeedSequence(seed)`, then hashes
+in every sample's spawn key, derives the output words and seeds PCG64 as
+arrays, computing every stream's start state at once. How the draws follow
+depends on the block's longest stream. If no stream is longer than 32 draws
+(the packaged SIR/SVIR studies draw at most 16 per stream), draw j of every
+stream is computed at once from the PCG64 recurrence, as M^j times the start
+state plus (M^(j-1) + ... + 1) times the increment mod 2**128, and no
+generator is built. A block with a
+longer stream (csoc's streams reach 242 draws) builds one generator, sets each
+stream's start state on it and draws it there, which is the cheaper way for
+long streams. Both give numpy's draws bit for bit.
 
 Each step is the table-lookup form of inverse-transform sampling. Once per
 call, each cumulative column's support band (the rows between its last zero
@@ -336,19 +338,6 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
 
 
-def _hashmix(value: int, hash_const: int) -> tuple[int, int]:
-    """SeedSequence's hashmix on one uint32 word; returns it and the next constant."""
-    value ^= hash_const
-    hash_const = hash_const * _MULT_A & _MASK32
-    value = value * hash_const & _MASK32
-    return value ^ value >> _XSHIFT, hash_const
-
-
-def _mix(x: int, y: int) -> int:
-    result = (x * _MIX_MULT_L - y * _MIX_MULT_R) & _MASK32
-    return result ^ result >> _XSHIFT
-
-
 def _hash_consts(hash_const: int, mult: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     """The XOR and multiplier constants of `count` successive hashes from
     `hash_const` on, as uint32 arrays: each hash multiplies by the constant
@@ -369,36 +358,22 @@ def _stream_words(seed: int, keys: np.ndarray) -> np.ndarray:
     """`SeedSequence(entropy=seed, spawn_key=(key,)).generate_state(4, np.uint64)`
     for every key at once, as a keys.size x 4 array.
 
-    The entropy is the seed's uint32 words, least significant first and
-    zero-padded to the pool size, then the key (one word: sample indices stay
-    below 2**32). The pool is mixed as SeedSequence mixes it. The seed's
-    rounds do not depend on the key, so they run once, on Python ints masked
-    to 32 bits. Only the last round, the key's, and the output hashing run on
-    keys.size x 4 uint32 arrays, whose products wrap silently.
+    The entropy is the seed's uint32 words, zero-padded to the pool size, then
+    the key (one word: sample indices stay below 2**32). The seed's words do
+    not depend on the key, so numpy mixes them once: `SeedSequence(seed).pool`
+    is the pool before the key, after 4 hashes per (padded) word. The key's
+    round and the output hashing, which numpy has no batched form of, run
+    here on keys.size x 4 uint32 arrays, whose products wrap silently.
     """
-    n_words = max(_POOL_SIZE, -(-seed.bit_length() // 32))
-    words = [seed >> 32 * i & _MASK32 for i in range(n_words)]
-    hash_const = _INIT_A
-    pool = []
-    for word in words[:_POOL_SIZE]:
-        value, hash_const = _hashmix(word, hash_const)
-        pool.append(value)
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                value, hash_const = _hashmix(pool[src], hash_const)
-                pool[dst] = _mix(pool[dst], value)
-    for word in words[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            value, hash_const = _hashmix(word, hash_const)
-            pool[dst] = _mix(pool[dst], value)
+    pool = np.random.SeedSequence(seed).pool
+    hashes = 4 * max(_POOL_SIZE, -(-seed.bit_length() // 32))
     # the key round: column dst mixes pool[dst] with the key's dst-th hash
-    key_xor, key_mult = _hash_consts(hash_const, _MULT_A, _POOL_SIZE)
+    key_xor, key_mult = _hash_consts(_INIT_A * pow(_MULT_A, hashes, 1 << 32) & _MASK32,
+                                     _MULT_A, _POOL_SIZE)
     keys = np.asarray(keys).astype(np.uint32)[:, None]
     value = (keys ^ key_xor) * key_mult
     value ^= value >> _U32_XSHIFT
-    mixed = (np.array(pool, dtype=np.uint32) * np.uint32(_MIX_MULT_L)
-             - value * np.uint32(_MIX_MULT_R))
+    mixed = pool * np.uint32(_MIX_MULT_L) - value * np.uint32(_MIX_MULT_R)
     mixed ^= mixed >> _U32_XSHIFT
     # the output words, read in pairs as little-endian uint64s
     value = (mixed[:, _OUT_POOL_INDEX] ^ _OUT_XOR) * _OUT_MULT
@@ -483,27 +458,24 @@ def _draw_short_streams(words: np.ndarray, widths: np.ndarray, out: np.ndarray) 
         first += draws.size
 
 
-def _draw_streams(gen: np.random.Generator | None, seed: int, keys: np.ndarray,
-                  widths: list[int], out: np.ndarray) -> np.random.Generator | None:
+def _draw_streams(seed: int, keys: np.ndarray, widths: list[int], out: np.ndarray) -> None:
     """Fill `out` with the first widths[j] draws of each key's stream in turn,
-    `Generator(PCG64(SeedSequence(entropy=seed, spawn_key=(key,)))).random`,
-    and return the generator for the next block.
+    `Generator(PCG64(SeedSequence(entropy=seed, spawn_key=(key,)))).random`.
 
     PCG64 seeds from the words (w0, w1, w2, w3) with initstate = w0 w1 and
     inc = (w2 w3) << 1 | 1: its state starts at inc, adds initstate and takes
     one LCG step, all mod 2**128. If no stream is longer than
     _SHORT_STREAM_DRAWS, every draw is computed from those words as arrays
-    (`_draw_short_streams`) and `gen` is not used. Otherwise each stream's
-    state is set on the PCG64 generator `gen` (built here if None), whose
-    state is overwritten, and drawn through it: past a few dozen draws per
-    stream the generator is the cheaper of the two.
+    (`_draw_short_streams`) and no generator is built. Otherwise the block
+    builds one PCG64 generator, sets each stream's state on it in turn and
+    draws it there: past a few dozen draws per stream the generator is the
+    cheaper of the two.
     """
     words = _stream_words(seed, keys)
     if max(widths) <= _SHORT_STREAM_DRAWS:
         _draw_short_streams(words, np.asarray(widths), out)
-        return gen
-    if gen is None:
-        gen = np.random.Generator(np.random.PCG64(0))
+        return
+    gen = np.random.Generator(np.random.PCG64(0))
     bitgen = gen.bit_generator
     inner = {}
     state = {"bit_generator": "PCG64", "state": inner, "has_uint32": 0, "uinteger": 0}
@@ -515,7 +487,6 @@ def _draw_streams(gen: np.random.Generator | None, seed: int, keys: np.ndarray,
         bitgen.state = state
         gen.random(out=out[first:first + width])
         first += width
-    return gen
 
 
 @dataclass(frozen=True)
@@ -633,17 +604,16 @@ def _rollout_costs(cum_cols: np.ndarray, cum_x0: np.ndarray, c: np.ndarray,
 
     Sample i draws from its own substream, spawn key (i,) under the seed:
     copy r takes draws r(t_i+1) .. r(t_i+1)+t_i, the first picking the start
-    state from x0 and each later one a step. A block's streams are seeded in
-    one vectorized replica of numpy's SeedSequence and PCG64 seeding
-    (`_stream_words`), so no per-sample SeedSequence is built. `_draw_streams`
-    then computes every draw as arrays if no stream of the block is longer
-    than 32 draws, and otherwise draws each stream through one generator,
-    built for the first such block and reused. All walkers of
-    a block step together, longest first so the walkers still moving form a
-    prefix. Each step looks its draw up in the band tables of the step
-    matrix (`_band_table`, built once per call; x0's law is a one-column
-    table), and a walker's state is kept as its column's offset in those
-    tables. The states, and hence the costs, are bit-identical to drawing
+    state from x0 and each later one a step. A block's streams are seeded at
+    once from the pool of one `SeedSequence(seed)` (`_stream_words`), so no
+    per-sample SeedSequence is built. `_draw_streams` then computes every
+    draw as arrays if no stream of the block is longer than 32 draws, and
+    otherwise builds one generator for the block and draws each stream
+    through it. All walkers of a block step together, longest first so the
+    walkers still moving form a prefix. Each step looks its draw up in the
+    band tables of the step matrix (`_band_table`, built once per call; x0's
+    law is a one-column table), and a walker's state is kept as its column's
+    offset in those tables. The states, and hence the costs, are bit-identical to drawing
     and stepping one copy at a time with a fresh generator per sample.
 
     With digits = N > 1 the tables describe one person and a walker is N
@@ -655,7 +625,6 @@ def _rollout_costs(cum_cols: np.ndarray, cum_x0: np.ndarray, c: np.ndarray,
     step_table = _band_table(cum_cols, digits > 1)
     # x0's law as a one-column table whose states are offsets in step_table
     x0_table = _band_table(cum_x0.reshape(-1, 1), digits > 1, step_table.slots)
-    gen = None
     ts = np.asarray(samples, dtype=np.intp)
     block = max(1, _ROLLOUT_BLOCK_DRAWS // (copies * (int(ts.max()) + 1)))
     costs = np.empty(ts.size)
@@ -666,7 +635,7 @@ def _rollout_costs(cum_cols: np.ndarray, cum_x0: np.ndarray, c: np.ndarray,
         widths = copies * (t + 1)
         starts = np.cumsum(widths) - widths
         u = np.empty(int(widths.sum()))
-        gen = _draw_streams(gen, seed, ids, widths.tolist(), u)
+        _draw_streams(seed, ids, widths.tolist(), u)
         # walker a * copies + r is copy r of sample ids[a]; at[d] is person d's
         # state j as its column's offset j * step_table.slots
         base = (starts[:, None] + np.arange(copies) * (t + 1)[:, None]).ravel()
@@ -697,10 +666,10 @@ def compare_report(m, x0, c, samples, xi: float, seed: int, *,
     at radius xi. Monte Carlo rollouts, one per sample with per-sample
     substreams split from the seed, estimate how often the realized cost
     exceeds each estimate. The rollouts run batched over blocks of samples,
-    with each sample's substream pre-drawn from a start state that a
-    vectorized replica of numpy's SeedSequence/PCG64 seeding computes for the
-    whole block: as arrays from the PCG64 recurrence when no stream of the
-    block is longer than 32 draws, else through one reused generator. Each
+    with each sample's substream pre-drawn from a start state computed for
+    the whole block from the pool of one numpy `SeedSequence(seed)`: as
+    arrays from the PCG64 recurrence when no stream of the block is longer
+    than 32 draws, else through one generator the block builds. Each
     step reads its next state off per-column band tables built once per
     call, by a search over the widest support band. The percentages are
     bit-identical to sequential per-sample draws from fresh generators. The

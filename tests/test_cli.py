@@ -234,6 +234,23 @@ def test_drce_rejects_a_non_integer_t_past_the_first_row(text, line, tmp_path, c
     assert f"line {line} " in err and "non-integer stopping time" in err
 
 
+@pytest.mark.parametrize("text,line,row", [
+    ("t,p\n1,0.5\n2,abc\n", 3, "2,abc"),
+    ("1,0.5\n\n2,\n", 3, "2,"),                     # an empty probability
+    ("1,nan\n2,0.5\n", 1, "1,nan"),
+    ("1,0.5\n2,inf\n", 2, "2,inf"),
+])
+def test_drce_names_the_line_of_a_bad_probability(text, line, row, tmp_path, capsys):
+    model = write_json(tmp_path / "scalar.json", SCALAR_GAS)
+    nominal = tmp_path / "nominal.csv"
+    nominal.write_text(text)
+    code, out, err = run_cli(capsys, "drce", "--model", model, "--nominal", str(nominal),
+                             "--radius", "0.1")
+    assert code == 2 and out == ""
+    assert err == (f"error: {nominal}: line {line} ({row!r}) "
+                   "has a probability that is not a finite number\n")
+
+
 def test_drce_rejects_duplicate_rows(tmp_path, capsys):
     model = write_json(tmp_path / "scalar.json", SCALAR_GAS)
     nominal = tmp_path / "nominal.csv"

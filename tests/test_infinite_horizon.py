@@ -264,16 +264,16 @@ def test_scan_windows_find_the_same_first_positive():
 
 
 def test_find_t0_scans_in_windows(monkeypatch):
-    """The dominant term 1e-13 * 0.9999^t stays under the floor through the decay
-    cap (276,297), so the domination witness is never confirmed and the scan
-    falls back to t = 1; both scans evaluate g in windows, not point by point."""
+    """The dominant term 1e-13 * 0.9999^t starts under the floor, so no point
+    past the domination witness can be a hit: that scan ends at once, and the
+    fallback scan finds t = 1 in its first window, before the witness."""
     s = decompose(np.diag([0.9999, 0.5]), [1e-13, 1.0], [1.0, 1.0])
     calls = []
     evaluate = infinite_horizon._eval_array
     monkeypatch.setattr(infinite_horizon, "_eval_array",
                         lambda s, ts: calls.append(ts.shape[0]) or evaluate(s, ts))
     assert find_t0(s) == CutoffResult(1, None, "real-pos-pos")
-    assert len(calls) < 100 and sum(calls) > 276_000
+    assert sum(calls) < 100, calls
 
 
 # ---------------------------------------------------------------- find_n0 ---

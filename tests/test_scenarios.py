@@ -444,13 +444,18 @@ def test_next_states_matches_searchsorted_on_exact_ties():
 
 # Seeds at the boundaries of their uint32 word count, which sets how
 # SeedSequence pads the entropy (below four words) or mixes the words past the
-# fourth into its pool before the spawn key.
+# fourth into its pool before the spawn key, and so the hash constant that the
+# spawn key's round starts from (up to ten words here).
 _WORD_BOUNDARY_SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96,
-                        2**128 - 1, 2**128, 2**160 + 7]
+                        2**128 - 1, 2**128, 2**160 + 7, 2**256 - 1, 2**256,
+                        2**288 + 7]
 
 
 @pytest.mark.parametrize("seed", _WORD_BOUNDARY_SEEDS)
-def test_draw_streams_equal_numpy_seeded_generators(seed):
+def test_draw_streams_equal_numpy_seeded_generators(seed, monkeypatch):
+    built = []      # np.random.Generator constructions
+    monkeypatch.setattr(np.random, "Generator",
+                        lambda *args, _make=np.random.Generator: built.append(1) or _make(*args))
     keys = np.random.default_rng(seed % 1000).permutation(601)   # blocks draw in any key order
     short, chunk = 32, scenarios._SHORT_CHUNK_CELLS     # the 32-draw rule
     mixed = [int(key) % short + 1 for key in keys[1:]]
@@ -464,8 +469,9 @@ def test_draw_streams_equal_numpy_seeded_generators(seed):
     for widths in blocks:
         block_keys = keys[:len(widths)]
         u = np.empty(sum(widths))
-        gen = scenarios._draw_streams(None, seed, block_keys, widths, u)
-        assert (gen is not None) == (max(widths) > short)
+        built.clear()
+        scenarios._draw_streams(seed, block_keys, widths, u)
+        assert len(built) == (max(widths) > short)   # one per block, and only if needed
         first = 0
         for key, width in zip(block_keys.tolist(), widths):
             want = np.random.Generator(np.random.PCG64(
@@ -558,28 +564,28 @@ def test_csoc_overtime_band_is_one_row_wide():
 def test_rollouts_build_no_generator_per_sample(monkeypatch):
     p = CsocParams()
     m, x0, c = build_csoc_overtime(p)
-    sample_sets = [sample_horizons(p.overtime_min, p.overtime_max, p.overtime_mean, k, 0)
-                   for k in (10, 1000)]
     built = {}
     for name in ("SeedSequence", "PCG64", "Generator"):
         def counted(*args, _make=getattr(np.random, name), _name=name, **kwargs):
             built[_name] = built.get(_name, 0) + 1
             return _make(*args, **kwargs)
         monkeypatch.setattr(np.random, name, counted)
-    counts = []
-    for samples in sample_sets:       # 1000 samples fill two rollout blocks
+    counts = {}
+    for k in (10, 500, 1000):       # one rollout block, one, and two
+        samples = sample_horizons(p.overtime_min, p.overtime_max, p.overtime_mean, k, 0)
         built.clear()
         compare_report(m, x0, c, samples, 4.0, 0, copies=p.analysts,
                        support_max=p.overtime_max)
-        counts.append(dict(built))
-    assert counts[0] == counts[1]
-    assert sum(counts[1].values()) <= 3, counts
-    # every sir stream has at most 16 draws, so no generator is built at all
+        counts[k] = dict(built)
+    once = {"SeedSequence": 1, "PCG64": 1, "Generator": 1}
+    assert counts == {10: once, 500: once, 1000: {name: 2 for name in once}}, counts
+    # every sir stream has at most 16 draws, so its one block builds a
+    # SeedSequence for the seed's pool and no generator
     person, init, c_person = health_person(HealthParams(model="sir"))
     built.clear()
     compare_report(person, init, c_person, sample_horizons(1, 15, 8, 500, 0), 4.0, 0,
                    population=5)
-    assert built == {}
+    assert built == {"SeedSequence": 1}
 
 
 def test_compare_report_rollout_memory_is_blocked():
