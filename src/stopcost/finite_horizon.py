@@ -11,28 +11,27 @@ different order, so their values usually differ in the last bits, except where
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
 from .matrix_core import as_matrix, as_vector, mat_pow
 
 
-@dataclass(frozen=True)
-class CostSequence:
+class CostSequence(namedtuple("CostSequence", "horizon values")):
     """Values g(t) = <c, M^t x0> for t = 1..horizon."""
 
-    horizon: int
-    values: np.ndarray
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.horizon < 1:
+    def __new__(cls, horizon: int, values: np.ndarray):
+        if horizon < 1:
             raise ValueError("horizon must be >= 1")
-        if self.values.shape != (self.horizon,):
+        if values.shape != (horizon,):
             raise ValueError("values length must equal the horizon")
-        if not np.all(np.isfinite(self.values)):
+        if not np.all(np.isfinite(values)):
             raise ValueError("cost sequence has non-finite entries")
-        self.values.setflags(write=False)
+        values.setflags(write=False)
+        return super().__new__(cls, horizon, values)
 
 
 def _check(m, x0, c, horizon):

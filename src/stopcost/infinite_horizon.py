@@ -13,8 +13,9 @@ horizon n0 beyond which |g| stays under g(t0), and reduce the search to a
 finite scan. `rce_infinite` skips the expansion: once |M^k|_inf < 1, |g(t')| for
 t' > t is at most tail * |M^t x0|_inf, tail = max_{r<=k} |(M^T)^r c|_1, so it scans
 g until that falls to max(best, positive_floor * max(1, tail * |x0|_inf)). It takes
-M^k and the squares below it from the certificate of M (`stable_squares`). Angles
-are kept in degrees throughout this module's public types.
+M^k and the squares below it from the certificate of M (`stable_squares`). The
+public types are immutable named tuples; `OscillatorySum` checks the order and
+magnitudes of its terms when built. Angles are kept in degrees throughout them.
 
 The worst geometric stopping law maximizes F(rho) = sum_t rho (1-rho)^{t-1} g(t)
 over an interval of success rates, with one global maximizer (a Chebyshev
@@ -26,19 +27,17 @@ F(rho) = rho c^T M (I - (1-rho) M)^{-1} x0, one direct solve per rate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
+from typing import NamedTuple
 
 import numpy as np
-from numpy.polynomial import chebyshev
 
 from .config import DEFAULT_TOLS
 from .matrix_core import SQUARES_KEPT, StableSquares, as_matrix, as_vector, certify_stable, \
     real_jordan, stable_squares
 
 
-@dataclass(frozen=True)
-class ComplexTerm:
+class ComplexTerm(NamedTuple):
     amplitude: float          # d >= 0
     magnitude: float          # r in (0, 1)
     theta_deg: float          # rotation per step, degrees in (0, 180)
@@ -46,26 +45,24 @@ class ComplexTerm:
     theta_frac: tuple[int, int] | None = None   # exact a/b when theta is rational
 
 
-@dataclass(frozen=True)
-class RealTerm:
+class RealTerm(NamedTuple):
     weight: float             # w, any sign
     rate: float               # lambda, |lambda| in (0, 1)
 
 
-@dataclass(frozen=True)
-class OscillatorySum:
-    complex_terms: tuple[ComplexTerm, ...]
-    real_terms: tuple[RealTerm, ...]
+class OscillatorySum(namedtuple("OscillatorySum", "complex_terms real_terms")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        cmags = [t.magnitude for t in self.complex_terms]
-        rmags = [abs(t.rate) for t in self.real_terms]
+    def __new__(cls, complex_terms: tuple[ComplexTerm, ...], real_terms: tuple[RealTerm, ...]):
+        cmags = [t.magnitude for t in complex_terms]
+        rmags = [abs(t.rate) for t in real_terms]
         if any(m >= 1.0 for m in cmags + rmags):
             raise ValueError("all magnitudes must be strictly below 1")
         if any(b <= a for a, b in zip(cmags, cmags[1:])):
             raise ValueError("complex terms must be ordered by ascending magnitude")
         if any(b <= a for a, b in zip(rmags, rmags[1:])):
             raise ValueError("real terms must be ordered by ascending magnitude")
+        return super().__new__(cls, complex_terms, real_terms)
 
     @property
     def amplitude_total(self) -> float:
@@ -83,21 +80,23 @@ class OscillatorySum:
         return not self.complex_terms and not self.real_terms
 
 
-@dataclass(frozen=True)
-class CutoffResult:
+class CutoffResult(NamedTuple):
     t0: int | None
     n0: int | None
     case_tag: str
 
 
-@dataclass(frozen=True)
-class RceInfResult:
+class RceInfResult(NamedTuple):
     kind: str                 # "attained" | "supremum-at-infinity"
     t_star: int | None
     value: float
 
 
 def _rationalize(theta: float) -> tuple[int, int] | None:
+    # imported here, not at module level: fractions loads decimal, ~3 ms of every
+    # CLI start, and only decompose's angles need it
+    from fractions import Fraction
+
     frac = Fraction(theta).limit_denominator(DEFAULT_TOLS.rational_cap)
     if frac <= 0:
         return None
@@ -487,17 +486,6 @@ def _lobatto_coefficients(vals: np.ndarray) -> np.ndarray:
     return coef
 
 
-def _falling_zero(d: np.ndarray, u: float, v: float) -> float:
-    """Zero of the Chebyshev series d, positive at u and not at v, bracketed by
-    64-way sections down to adjacent floats; d must be monotone on [u, v]."""
-    while True:
-        xs = np.linspace(u, v, 65)
-        i = int(np.flatnonzero(chebyshev.chebval(xs, d) <= 0.0)[0]) - 1
-        if xs[i + 1] - xs[i] >= v - u:
-            return 0.5 * (u + v)
-        u, v = xs[i], xs[i + 1]
-
-
 def _interior_maxima(coef: np.ndarray, noise: float) -> list[float]:
     """Ascending points of (-1, 1) where the derivative of the Chebyshev series
     `coef` falls through zero: the interior local maxima of the series.
@@ -510,7 +498,21 @@ def _interior_maxima(coef: np.ndarray, noise: float) -> list[float]:
     series can move by at most `noise` is not split further; its midpoint is
     kept as a candidate.
     """
-    d = chebyshev.chebder(coef)
+    # imported here, not at module level: numpy.polynomial adds ~5 ms to every CLI
+    # start, and only the geometric maximizer needs it
+    from numpy.polynomial.chebyshev import chebder, chebval
+
+    def falling_zero(u: float, v: float) -> float:
+        # zero of d, positive at u and not at v, bracketed by 64-way sections
+        # down to adjacent floats; d must be monotone on [u, v]
+        while True:
+            xs = np.linspace(u, v, 65)
+            i = int(np.flatnonzero(chebval(xs, d) <= 0.0)[0]) - 1
+            if xs[i + 1] - xs[i] >= v - u:
+                return 0.5 * (u + v)
+            u, v = xs[i], xs[i + 1]
+
+    d = chebder(coef)
     nodes = np.cos(np.pi * np.arange(d.shape[0]) / (d.shape[0] - 1))
     weights = np.arange(2.0, d.shape[0]) ** 2
     found, stack = [], [(-1.0, 1.0, d)]
@@ -520,9 +522,9 @@ def _interior_maxima(coef: np.ndarray, noise: float) -> list[float]:
         if abs(b[0]) > rest + 1e-12 * (abs(b[0]) + rest):
             continue
         if abs(b[1]) > float(weights @ np.abs(b[2:])):
-            left, right = chebyshev.chebval(np.array([u, v]), d)
+            left, right = chebval(np.array([u, v]), d)
             if left > 0.0 >= right:
-                found.append(_falling_zero(d, u, v))
+                found.append(falling_zero(u, v))
             continue
         mid = 0.5 * (u + v)
         if (v - u) * (abs(b[0]) + rest) <= noise or not u < mid < v:
@@ -530,7 +532,7 @@ def _interior_maxima(coef: np.ndarray, noise: float) -> list[float]:
             continue
         for lo, hi in ((mid, v), (u, mid)):
             stack.append((lo, hi, _lobatto_coefficients(
-                chebyshev.chebval(0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes, d))))
+                chebval(0.5 * (lo + hi) + 0.5 * (hi - lo) * nodes, d))))
     return sorted(found)
 
 

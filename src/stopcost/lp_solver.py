@@ -6,7 +6,7 @@ for tests. `drce_finite` solves every metric by an exact one-dimensional dual.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -14,8 +14,7 @@ from .config import DEFAULT_TOLS
 from .matrix_core import as_matrix, as_vector
 
 
-@dataclass(frozen=True)
-class LinearProgram:
+class LinearProgram(NamedTuple):
     """max objective.x subject to ineq_lhs x <= ineq_rhs, eq_lhs x = eq_rhs.
 
     ``nonneg`` marks which variables carry an x >= 0 bound; the rest are free.
@@ -51,8 +50,7 @@ class LinearProgram:
         return cls(c, a, b, e, f, mask)
 
 
-@dataclass(frozen=True)
-class LpSolution:
+class LpSolution(NamedTuple):
     status: str                       # "optimal" | "infeasible" | "unbounded"
     point: np.ndarray | None = None
     value: float = float("nan")

@@ -15,7 +15,7 @@ eigenvalues: no function here runs an eigensolver, and none needs scipy.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 import numpy as np
 
@@ -90,8 +90,7 @@ def _stationary(a: np.ndarray) -> np.ndarray:
     return best / best.sum()
 
 
-@dataclass(frozen=True)
-class MarkovChain:
+class MarkovChain(namedtuple("MarkovChain", "n transition stationary reduction")):
     """Column-stochastic transition matrix together with its stationary law.
 
     ``reduction`` holds what certified that law in `from_transition`: A, B
@@ -99,15 +98,13 @@ class MarkovChain:
     hands on. It is None for a chain built directly or with one state.
     """
 
-    n: int
-    transition: np.ndarray
-    stationary: np.ndarray
-    reduction: tuple[np.ndarray, np.ndarray, StableSquares] | None = \
-        field(default=None, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        self.transition.setflags(write=False)
-        self.stationary.setflags(write=False)
+    def __new__(cls, n: int, transition: np.ndarray, stationary: np.ndarray,
+                reduction: tuple[np.ndarray, np.ndarray, StableSquares] | None = None):
+        transition.setflags(write=False)
+        stationary.setflags(write=False)
+        return super().__new__(cls, n, transition, stationary, reduction)
 
     @classmethod
     def from_transition(cls, m) -> "MarkovChain":
@@ -119,29 +116,26 @@ class MarkovChain:
         return cls(a.shape[0], a, pi, reduction)
 
 
-@dataclass(frozen=True)
-class GasSystem:
+class GasSystem(namedtuple("GasSystem", "m_bar a_op b_op stationary squares")):
     """Reduced (n-1)-dimensional stable system equivalent to a chain.
 
     ``squares`` is the `StableSquares` of m_bar when `to_gas` built the
     system; `rce_infinite` scans with it.
     """
 
-    m_bar: np.ndarray
-    a_op: np.ndarray
-    b_op: np.ndarray
-    stationary: np.ndarray
-    squares: StableSquares | None = field(default=None, repr=False, compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        n = self.stationary.shape[0]
+    def __new__(cls, m_bar: np.ndarray, a_op: np.ndarray, b_op: np.ndarray,
+                stationary: np.ndarray, squares: StableSquares | None = None):
+        n = stationary.shape[0]
         if n < 2:
             raise ValueError("need at least 2 states")
-        if self.m_bar.shape != (n - 1, n - 1) or self.a_op.shape != (n - 1, n) \
-                or self.b_op.shape != (n, n - 1):
+        if m_bar.shape != (n - 1, n - 1) or a_op.shape != (n - 1, n) \
+                or b_op.shape != (n, n - 1):
             raise ValueError("operator dimensions are inconsistent with the state count")
-        for arr in (self.m_bar, self.a_op, self.b_op, self.stationary):
+        for arr in (m_bar, a_op, b_op, stationary):
             arr.setflags(write=False)
+        return super().__new__(cls, m_bar, a_op, b_op, stationary, squares)
 
     @property
     def n(self) -> int:

@@ -9,7 +9,7 @@ every magnitude is distinct, which downstream asymptotic analysis relies on.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
@@ -97,8 +97,7 @@ def mat_pow(m, k: int) -> np.ndarray:
 SQUARES_KEPT = 4096
 
 
-@dataclass(frozen=True, eq=False)
-class StableSquares:
+class StableSquares(namedtuple("StableSquares", "powers norms")):
     """The repeated squares M^(2^j) that certify rho(M) < 1 (`stable_squares`).
 
     ``norms[j]`` is |M^(2^j)|_inf for every j up to the certificate k =
@@ -107,12 +106,12 @@ class StableSquares:
     powers `rce_infinite` scans with. ``powers[0]`` is a read-only copy of M.
     """
 
-    powers: tuple[np.ndarray, ...]
-    norms: tuple[float, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        for p in self.powers:
+    def __new__(cls, powers: tuple[np.ndarray, ...], norms: tuple[float, ...]):
+        for p in powers:
             p.setflags(write=False)
+        return super().__new__(cls, powers, norms)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -181,8 +180,8 @@ def spectral_radius(m) -> float:
     return float(np.abs(lam).max()) if a.shape[0] else 0.0
 
 
-@dataclass(frozen=True)
-class RealJordanForm:
+class RealJordanForm(namedtuple("RealJordanForm",
+                                "p_matrix p_inverse complex_blocks real_eigs perturbation")):
     """Real block-diagonal eigenstructure M = P J P^-1.
 
     ``complex_blocks`` holds (magnitude, angle in degrees) for each 2x2
@@ -193,15 +192,14 @@ class RealJordanForm:
     (0.0 when the input was used as-is).
     """
 
-    p_matrix: np.ndarray
-    p_inverse: np.ndarray
-    complex_blocks: tuple[tuple[float, float], ...]
-    real_eigs: tuple[float, ...]
-    perturbation: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        self.p_matrix.setflags(write=False)
-        self.p_inverse.setflags(write=False)
+    def __new__(cls, p_matrix: np.ndarray, p_inverse: np.ndarray,
+                complex_blocks: tuple[tuple[float, float], ...], real_eigs: tuple[float, ...],
+                perturbation: float = 0.0):
+        p_matrix.setflags(write=False)
+        p_inverse.setflags(write=False)
+        return super().__new__(cls, p_matrix, p_inverse, complex_blocks, real_eigs, perturbation)
 
     @property
     def n(self) -> int:

@@ -56,7 +56,8 @@ would need a draw per person, which would change every rollout.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,28 +68,31 @@ from .matrix_core import as_vector, mat_pow
 from .wasserstein import AmbiguitySet, drce_finite
 
 
-@dataclass(frozen=True)
-class CsocParams:
-    arrival_rate: float = 35.0      # alerts per hour per analyst queue
-    service_rate: float = 34.0      # alerts per hour
-    step_seconds: float = 30.0
-    queue_cap: int = 100
-    shift_steps: int = 960
-    analysts: int = 2
-    overtime_min: int = 1
-    overtime_max: int = 120
-    overtime_mean: int = 61
+class CsocParams(namedtuple("CsocParams", "arrival_rate service_rate step_seconds queue_cap "
+                            "shift_steps analysts overtime_min overtime_max overtime_mean")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.arrival_rate <= 0 or self.service_rate <= 0 or self.step_seconds <= 0:
+    def __new__(cls,
+                arrival_rate: float = 35.0,     # alerts per hour per analyst queue
+                service_rate: float = 34.0,     # alerts per hour
+                step_seconds: float = 30.0,
+                queue_cap: int = 100,
+                shift_steps: int = 960,
+                analysts: int = 2,
+                overtime_min: int = 1,
+                overtime_max: int = 120,
+                overtime_mean: int = 61):
+        if arrival_rate <= 0 or service_rate <= 0 or step_seconds <= 0:
             raise ValueError("rates and step length must be positive")
-        if self.queue_cap < 1 or self.shift_steps < 1 or self.analysts < 1:
+        if queue_cap < 1 or shift_steps < 1 or analysts < 1:
             raise ValueError("queue_cap, shift_steps, and analysts must be >= 1")
-        if not (1 <= self.overtime_min <= self.overtime_mean <= self.overtime_max):
+        if not (1 <= overtime_min <= overtime_mean <= overtime_max):
             raise ValueError("need 1 <= overtime_min <= overtime_mean <= overtime_max")
-        steps_per_hour = 3600.0 / self.step_seconds
-        if self.arrival_rate >= steps_per_hour or self.service_rate >= steps_per_hour:
+        steps_per_hour = 3600.0 / step_seconds
+        if arrival_rate >= steps_per_hour or service_rate >= steps_per_hour:
             raise ValueError("per-step event probabilities must stay below 1")
+        return super().__new__(cls, arrival_rate, service_rate, step_seconds, queue_cap,
+                               shift_steps, analysts, overtime_min, overtime_max, overtime_mean)
 
     @property
     def arrival_prob(self) -> float:
@@ -99,42 +103,42 @@ class CsocParams:
         return self.service_rate * self.step_seconds / 3600.0
 
 
-@dataclass(frozen=True)
-class HealthParams:
-    model: str = "sir"              # "sir" or "svir"
-    population: int = 5
-    horizon_min: int = 1
-    horizon_max: int = 15
-    horizon_mean: int = 8
-    init: tuple[float, ...] | None = None   # per-person distribution
+class HealthParams(namedtuple("HealthParams", "model population horizon_min horizon_max "
+                              "horizon_mean init")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.model.lower() not in ("sir", "svir"):
-            raise ValueError(f"unknown model {self.model!r}; expected 'sir' or 'svir'")
-        if self.population < 1:
+    def __new__(cls,
+                model: str = "sir",             # "sir" or "svir"
+                population: int = 5,
+                horizon_min: int = 1,
+                horizon_max: int = 15,
+                horizon_mean: int = 8,
+                init: tuple[float, ...] | None = None):     # per-person distribution
+        if model.lower() not in ("sir", "svir"):
+            raise ValueError(f"unknown model {model!r}; expected 'sir' or 'svir'")
+        if population < 1:
             raise ValueError("population must be >= 1")
-        if not (1 <= self.horizon_min <= self.horizon_mean <= self.horizon_max):
+        if not (1 <= horizon_min <= horizon_mean <= horizon_max):
             raise ValueError("need 1 <= horizon_min <= horizon_mean <= horizon_max")
-        if self.init is not None:
-            arr = np.asarray(self.init, dtype=float)
+        if init is not None:
+            arr = np.asarray(init, dtype=float)
             if arr.ndim != 1 or np.any(arr < 0) or abs(arr.sum() - 1.0) > 1e-9:
                 raise ValueError("init must be a probability vector")
+        return super().__new__(cls, model, population, horizon_min, horizon_max, horizon_mean,
+                               init)
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
-    empirical_cost: float
-    drce_cost: float
-    pct_exceed_empirical: float
-    pct_exceed_drce: float
-    t_hat: int
-    xi: float
-    seed: int
+class ComparisonReport(namedtuple("ComparisonReport", "empirical_cost drce_cost "
+                                  "pct_exceed_empirical pct_exceed_drce t_hat xi seed")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        for pct in (self.pct_exceed_empirical, self.pct_exceed_drce):
+    def __new__(cls, empirical_cost: float, drce_cost: float, pct_exceed_empirical: float,
+                pct_exceed_drce: float, t_hat: int, xi: float, seed: int):
+        for pct in (pct_exceed_empirical, pct_exceed_drce):
             if not (0.0 <= pct <= 100.0):
                 raise ValueError("exceedance percentages must lie in [0, 100]")
+        return super().__new__(cls, empirical_cost, drce_cost, pct_exceed_empirical,
+                               pct_exceed_drce, t_hat, xi, seed)
 
     CSV_HEADER = ("empirical_cost,drce_cost,pct_exceed_empirical,"
                   "pct_exceed_drce,t_hat,xi,seed")
@@ -489,8 +493,7 @@ def _draw_streams(seed: int, keys: np.ndarray, widths: list[int], out: np.ndarra
         first += width
 
 
-@dataclass(frozen=True)
-class _BandTable:
+class _BandTable(NamedTuple):
     """Lookup tables for inverse-transform steps on an n x stride table of
     nondecreasing cumulative columns F_s. Each table is flat, with slot c of
     column s at index s * slots + c.

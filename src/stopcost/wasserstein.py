@@ -16,7 +16,8 @@ one-multiplier dual (Mohajerin Esfahani & Kuhn 2018) that needs no LP. Only
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,26 +27,24 @@ from .lp_solver import LinearProgram, lp_solve
 from .matrix_core import as_matrix, as_vector
 
 
-@dataclass(frozen=True)
-class GroundDistance:
+class GroundDistance(namedtuple("GroundDistance", "kind matrix")):
     """Metric on horizon points 1..T: the default line metric |i - j|, or explicit.
 
     An explicit matrix is checked to be a metric, copied and made read-only.
     """
 
-    kind: str = "line"
-    matrix: np.ndarray | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind == "line":
-            if self.matrix is not None:
+    def __new__(cls, kind: str = "line", matrix: np.ndarray | None = None):
+        if kind == "line":
+            if matrix is not None:
                 raise ValueError("the line metric takes no distance matrix")
-            return
-        if self.kind != "explicit":
-            raise ValueError(f"ground metric kind must be 'line' or 'explicit', got {self.kind!r}")
-        if self.matrix is None:
+            return super().__new__(cls, kind, matrix)
+        if kind != "explicit":
+            raise ValueError(f"ground metric kind must be 'line' or 'explicit', got {kind!r}")
+        if matrix is None:
             raise ValueError("an explicit ground metric needs a distance matrix")
-        d = as_matrix(self.matrix).copy()
+        d = as_matrix(matrix).copy()
         t = d.shape[0]
         if d.shape[0] != d.shape[1]:
             raise ValueError("distance matrix must be square")
@@ -60,7 +59,7 @@ class GroundDistance:
             if np.any(d > d[:, [k]] + d[[k], :] + 1e-12):
                 raise ValueError("distance matrix violates the triangle inequality")
         d.setflags(write=False)
-        object.__setattr__(self, "matrix", d)
+        return super().__new__(cls, kind, d)
 
     @classmethod
     def line(cls) -> "GroundDistance":
@@ -80,29 +79,27 @@ class GroundDistance:
         return self.matrix
 
 
-@dataclass(frozen=True)
-class AmbiguitySet:
-    """Wasserstein ball of radius xi around a nominal stopping distribution."""
+class AmbiguitySet(namedtuple("AmbiguitySet", "nominal radius distance")):
+    """Wasserstein ball of radius xi around a nominal stopping distribution;
+    the ground metric defaults to the line metric (`GroundDistance.line`)."""
 
-    nominal: np.ndarray
-    radius: float
-    distance: GroundDistance = field(default_factory=GroundDistance.line)
+    __slots__ = ()
 
-    def __post_init__(self):
-        p = as_vector(self.nominal)
+    def __new__(cls, nominal: np.ndarray, radius: float, distance: GroundDistance | None = None):
+        p = as_vector(nominal)
         if abs(p.sum() - 1.0) > DEFAULT_TOLS.balance:
             raise ValueError("nominal distribution must sum to 1")
         if p.min(initial=0.0) < -DEFAULT_TOLS.entry_clamp:
             raise ValueError("nominal distribution has negative entries")
         p = np.where(p < 0, 0.0, p)
-        object.__setattr__(self, "nominal", p)
         p.setflags(write=False)
-        if not np.isfinite(self.radius) or self.radius < 0:
-            raise ValueError(f"radius must be finite and nonnegative, got {self.radius!r}")
+        if not np.isfinite(radius) or radius < 0:
+            raise ValueError(f"radius must be finite and nonnegative, got {radius!r}")
+        return super().__new__(cls, p, radius,
+                               GroundDistance.line() if distance is None else distance)
 
 
-@dataclass(frozen=True)
-class DrceSolution:
+class DrceSolution(NamedTuple):
     value: float
     worst_q: np.ndarray
     # "vertex-enumeration" (line metric, ball inside the simplex) | "lp" (the

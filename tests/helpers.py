@@ -1,4 +1,5 @@
 """Shared generators for randomized tests and independent reference oracles."""
+import csv
 import functools
 import math
 from fractions import Fraction
@@ -287,3 +288,46 @@ def stationary_eigvals_oracle(m, scipy_lu=False):
         raise RuntimeError("inverse iteration did not converge")
     best = np.where(np.abs(best) < DEFAULT_TOLS.entry_clamp, 0.0, best)
     return best / best.sum()
+
+
+def load_nominal_rows(path):
+    """`cli.load_nominal` as a row-by-row loop: each row's t and probability are
+    converted and checked as the row is read, and the first bad row raises. It
+    applies the row checks only: a negative probability or a total away from 1
+    is returned as read."""
+    entries = {}
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        first = True
+        for row in reader:
+            if not row or not row[0].strip():
+                continue
+            try:
+                t = int(row[0])
+            except ValueError:
+                if first:
+                    first = False
+                    continue        # header line
+                raise ValueError(f"{path}: line {reader.line_num} ({','.join(row)!r}) "
+                                 f"has a non-integer stopping time") from None
+            first = False
+            if len(row) < 2:
+                raise ValueError(f"{path}: row for t={t} lacks a probability column")
+            if t < 1:
+                raise ValueError(f"{path}: stopping times must be >= 1, got {t}")
+            if t in entries:
+                raise ValueError(f"{path}: duplicate row for t={t}")
+            try:
+                prob = float(row[1])
+            except ValueError:
+                prob = math.nan
+            if not math.isfinite(prob):
+                raise ValueError(f"{path}: line {reader.line_num} ({','.join(row)!r}) "
+                                 f"has a probability that is not a finite number")
+            entries[t] = prob
+    if not entries:
+        raise ValueError(f"{path}: no (t, probability) rows found")
+    nominal = np.zeros(max(entries))
+    for t, prob in entries.items():
+        nominal[t - 1] = prob
+    return nominal

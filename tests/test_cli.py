@@ -19,7 +19,8 @@ from stopcost.scenarios import ComparisonReport, CsocParams, HealthParams, build
     build_health_chain
 from stopcost.wasserstein import AmbiguitySet, drce_finite
 
-from helpers import geometric_grid_oracle, lazy_cycle, random_stable, rce_infinite_own_squares
+from helpers import geometric_grid_oracle, lazy_cycle, load_nominal_rows, random_stable, \
+    rce_infinite_own_squares
 
 TWO_STATE = {
     "kind": "markov", "n": 2,
@@ -234,21 +235,121 @@ def test_drce_rejects_a_non_integer_t_past_the_first_row(text, line, tmp_path, c
     assert f"line {line} " in err and "non-integer stopping time" in err
 
 
-@pytest.mark.parametrize("text,line,row", [
+@pytest.mark.parametrize("text,line,shown", [
     ("t,p\n1,0.5\n2,abc\n", 3, "2,abc"),
     ("1,0.5\n\n2,\n", 3, "2,"),                     # an empty probability
     ("1,nan\n2,0.5\n", 1, "1,nan"),
     ("1,0.5\n2,inf\n", 2, "2,inf"),
+    # rows that parse but that AmbiguitySet would reject: the line of the first
+    # negative probability, or (line None) the total
+    ("1,-0.5\n2,1.5\n", 1, "1,-0.5"),
+    ("t,p\n3,0.75\n\n1,-0.25\n2,0.25\n4,-1\n", 4, "1,-0.25"),
+    ("1,0.5\n2,nan\n3,-0.5\n", 2, "2,nan"),        # a non-finite row is reported first
+    ("1,0.2\n2,0.2\n", None, "0.4"),
+    ("2,0.5\n1,0.5\n3,1e-8\n", None, "1.00000001"),
 ])
-def test_drce_names_the_line_of_a_bad_probability(text, line, row, tmp_path, capsys):
+def test_drce_names_the_line_of_a_bad_probability(text, line, shown, tmp_path, capsys):
     model = write_json(tmp_path / "scalar.json", SCALAR_GAS)
     nominal = tmp_path / "nominal.csv"
     nominal.write_text(text)
     code, out, err = run_cli(capsys, "drce", "--model", model, "--nominal", str(nominal),
                              "--radius", "0.1")
     assert code == 2 and out == ""
-    assert err == (f"error: {nominal}: line {line} ({row!r}) "
-                   "has a probability that is not a finite number\n")
+    if line is None:
+        assert err == f"error: {nominal}: probabilities sum to {shown}, not 1\n"
+    elif "-" in shown:
+        assert err == f"error: {nominal}: line {line} ({shown!r}) has a negative probability\n"
+    else:
+        assert err == (f"error: {nominal}: line {line} ({shown!r}) "
+                       "has a probability that is not a finite number\n")
+
+
+def test_drce_keeps_a_probability_within_the_clamp_below_zero(tmp_path, capsys):
+    # -1e-13 is within entry_clamp and the total within balance: AmbiguitySet
+    # clamps the entry, so the file answers as the clean one does
+    model = write_json(tmp_path / "scalar.json", SCALAR_GAS)
+    nominal = tmp_path / "nominal.csv"
+    answers = []
+    for text in ("1,0.5\n2,0.5\n3,0\n", "1,0.5\n2,0.5\n3,-1e-13\n"):
+        nominal.write_text(text)
+        answers.append(run_cli(capsys, "drce", "--model", model, "--nominal", str(nominal),
+                               "--radius", "0.1"))
+    assert answers[0][0] == 0 and answers[0] == answers[1]
+
+
+_T_FORMS = ("{}", " {} ", "+{}", "0{}", '"{}"')
+_P_FORMS = ("{!r}", " {!r}", '"{!r}"', "{:.17g} ")
+_BAD_T = ("x", "2.5", "0", "-1", "", " ")
+_BAD_P = ("nan", "inf", "-inf", "abc", "", "-0.5", "-1e-13", '"0.2\n5"', "1e-300")
+
+
+def _random_nominal_text(rng) -> str:
+    """A (t, probability) CSV with headers, blank rows, spaced, signed and quoted
+    fields and rows out of order; some rows, probabilities or totals are broken."""
+    support = rng.permutation(np.arange(1, int(rng.integers(1, 9)) + 1))
+    support = support[:int(rng.integers(1, support.size + 1))]
+    if rng.random() < 0.5:
+        probs = [2.0 ** -int(k) for k in rng.integers(1, 4, size=support.size)]
+        probs[-1] = 1.0 - sum(probs[:-1])       # exact dyadic total; may be negative
+    else:
+        w = rng.random(support.size) + 0.01
+        probs = list(w / w.sum())
+    if rng.random() < 0.1:
+        probs[0] *= 1.5
+    rows = [[_T_FORMS[rng.integers(len(_T_FORMS))].format(int(t)),
+             _P_FORMS[rng.integers(len(_P_FORMS))].format(float(p))]
+            for t, p in zip(support, probs)]
+    for _ in range(int(rng.poisson(0.7))):      # breakages
+        i = int(rng.integers(len(rows)))
+        kind = rng.integers(5)
+        if kind == 0:
+            rows[i][0] = _BAD_T[rng.integers(len(_BAD_T))]
+        elif kind == 1:
+            rows[i][1:] = [_BAD_P[rng.integers(len(_BAD_P))]]
+        elif kind == 2:
+            del rows[i][1:]
+        elif kind == 3:
+            rows[i].append("extra")
+        else:
+            rows.insert(int(rng.integers(len(rows) + 1)), list(rows[i]))
+    for _ in range(int(rng.poisson(1.0))):      # blank rows and rows with a blank t
+        rows.insert(int(rng.integers(len(rows) + 1)), [["", " ", " ,0.5"][rng.integers(3)]])
+    if rng.random() < 0.4:
+        rows.insert(0, [["t", "p"], ["time", " probability"], ["t"]][rng.integers(3)])
+    ends = ("\n", "\r\n")
+    return "".join(",".join(row) + ends[rng.integers(2)] for row in rows)
+
+
+def test_load_nominal_matches_the_row_loop(tmp_path):
+    # helpers.load_nominal_rows is the row-by-row loop load_nominal replaced: the
+    # same array bit for bit, or the same error; a law it returns that AmbiguitySet
+    # rejects is rejected by load_nominal, with the file named
+    rng = np.random.default_rng(20241021)
+    path = tmp_path / "nominal.csv"
+    outcomes = {"answered": 0, "row error": 0, "law error": 0}
+    for _ in range(1500):
+        path.write_bytes(_random_nominal_text(rng).encode())
+        try:
+            expected = load_nominal_rows(str(path))
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                cli.load_nominal(str(path))
+            assert str(got.value) == str(exc)
+            outcomes["row error"] += 1
+            continue
+        try:
+            AmbiguitySet(expected, 0.0)
+        except ValueError:
+            with pytest.raises(ValueError) as got:
+                cli.load_nominal(str(path))
+            assert str(got.value).startswith(f"{path}: ")
+            assert "negative probability" in str(got.value) or "sum to" in str(got.value)
+            outcomes["law error"] += 1
+            continue
+        got = cli.load_nominal(str(path))
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+        outcomes["answered"] += 1
+    assert min(outcomes.values()) >= 150, outcomes
 
 
 def test_drce_rejects_duplicate_rows(tmp_path, capsys):
@@ -711,6 +812,35 @@ def test_drce_and_scenario_do_not_import_the_lp_solver(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert ",lp\n" in proc.stdout       # drce took the dual (ball meets boundary) path
     assert "attained,1,1.75\n" in proc.stdout
+
+
+def test_cli_import_leaves_single_use_modules_to_first_use():
+    # `import stopcost.cli` pays for no module that one subcommand alone needs;
+    # the comparison with numpy, argparse and json alone keeps what numpy itself
+    # imports out of the count (numpy 1.24 loads numpy.polynomial)
+    script = (
+        "import sys\n"
+        "import argparse, json, numpy\n"
+        "before = set(sys.modules)\n"
+        "import stopcost.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    src = str(Path(stopcost.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    extra = proc.stdout.split()
+    first_use = {"dataclasses", "fractions", "decimal", "_decimal", "_pydecimal", "csv", "_csv"}
+    loaded = [name for name in extra if name in first_use
+              or name.partition(".")[0] == "scipy" or name.startswith("numpy.polynomial")]
+    assert not loaded, loaded
+    # the package's own modules stay eager: the span tracer rebinds them in sys.modules
+    own = {f"stopcost.{name}" for name in ("config", "finite_horizon", "infinite_horizon",
+                                            "lp_solver", "markov_gas", "matrix_core",
+                                            "scenarios", "wasserstein", "cli")}
+    assert own <= set(extra), own - set(extra)
 
 
 def test_bench_output_parses(tmp_path, capsys):
