@@ -22,7 +22,8 @@ distributions are two-column CSV (t, probability) with an optional header.
 All results are written as CSV with 12-significant-digit reals, buffered so
 failures produce no partial output; an `--out` path that cannot be written
 is invalid input. Exit codes: 0 success, 1 computational failure (a memory
-error included: a horizon too large to allocate), 2 invalid input.
+error included: a horizon too large to allocate), 2 invalid input (a nominal
+stopping time that no array can index included).
 
 `main` parses with one parser per process: the first call builds it and
 later calls reuse it. `build_parser` still returns a fresh parser.
@@ -121,7 +122,9 @@ def load_nominal(path: str) -> np.ndarray:
     an integer is an error. The columns are converted and checked in bulk:
     every t an integer >= 1 and not repeated, every row with a finite
     probability, none below -entry_clamp, and a total within `balance` of 1,
-    as `AmbiguitySet` requires, but with the file named. The bulk pass keeps no
+    as `AmbiguitySet` requires, but with the file named. A largest t that no
+    array can index is invalid input (ValueError); one whose vector cannot be
+    allocated is a MemoryError; both name the file and t. The bulk pass keeps no
     line numbers, so a file that fails a row check is read again, row by row,
     to name the first bad row and its line (`_first_bad_row`)."""
     # imported here, not at module level: only drce reads a CSV file
@@ -145,7 +148,14 @@ def load_nominal(path: str) -> np.ndarray:
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             raise _first_bad_row(path, ((reader.line_num, row) for row in reader))
-    nominal = np.zeros(max(ts))
+    horizon = max(ts)
+    try:
+        nominal = np.zeros(horizon)
+    except (ValueError, OverflowError) as exc:
+        raise ValueError(f"{path}: stopping time {horizon} is beyond any array ({exc})") from None
+    except MemoryError as exc:
+        raise MemoryError(f"{path}: stopping time {horizon} needs a horizon that cannot be "
+                          f"allocated ({exc})") from None
     nominal[np.array(ts) - 1] = probs
     total = nominal.sum()
     if abs(total - 1.0) > DEFAULT_TOLS.balance:

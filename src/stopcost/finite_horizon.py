@@ -61,14 +61,21 @@ def _recur(a, v, cv, out):
 
 
 def cost_sequence_strided(m, x0, c, horizon: int) -> CostSequence:
-    """Square-root stride evaluator; for horizon < max(4, n), the cheaper recurrence itself."""
+    """Square-root stride evaluator; for horizon < max(4, n), the cheaper recurrence itself.
+
+    Two O(T) arrays: the B x (B + 1) table of inner products, and one buffer
+    that takes the table transposed, so that entry t is g(t) for t <= B^2,
+    and then the tail t > B^2 from the recurrence, written in place. The
+    values are a view of that buffer.
+    """
     a, x, cv = _check(m, x0, c, horizon)
     horizon = int(horizon)
     n = a.shape[0]
-    out = np.empty(horizon)
     if horizon < max(4, n):
-        return CostSequence(horizon, _recur(a, x, cv, out))
+        return CostSequence(horizon, _recur(a, x, cv, np.empty(horizon)))
     big_stride = math.isqrt(horizon)
+    # allocated first, so that a horizon too large to hold fails before any work
+    buf = np.empty(max(horizon + 1, big_stride * (big_stride + 1)))
 
     m_big = mat_pow(a, big_stride)
     fwd = np.empty((big_stride + 1, n))
@@ -84,9 +91,9 @@ def cost_sequence_strided(m, x0, c, horizon: int) -> CostSequence:
     table = bwd @ fwd.T                  # table[j, i] = <(M^T)^j c, M^{iB} x0>
     square = big_stride * big_stride
     # t = iB + j is entry t of table.T read in C order
-    out[:square] = table.T.ravel()[1:square + 1]
-    _recur(a, fwd[big_stride], cv, out[square:])
-    return CostSequence(horizon, out)
+    buf[:table.size].reshape(table.T.shape)[...] = table.T
+    _recur(a, fwd[big_stride], cv, buf[square + 1:horizon + 1])
+    return CostSequence(horizon, buf[1:horizon + 1])
 
 
 def rce_finite(seq: CostSequence) -> tuple[int, float]:

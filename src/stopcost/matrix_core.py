@@ -68,29 +68,35 @@ def mat_pow(m, k: int) -> np.ndarray:
     Magnitudes below 1e-140 are treated as exact zeros between multiplies,
     which leaves every documented identity intact by a margin of more than a
     hundred orders of magnitude while keeping deep powers of contractive
-    matrices out of subnormal arithmetic.
+    matrices out of subnormal arithmetic. The product starts as the guarded
+    square at k's lowest set bit, with no multiply by the identity; k = 0
+    returns a fresh identity.
     """
     a = _square(m)
     if not isinstance(k, (int, np.integer)) or k < 0:
         raise ValueError(f"exponent must be a nonnegative integer, got {k!r}")
-    n = a.shape[0]
-    result = np.eye(n)
+    e = int(k)
+    if e == 0:
+        return np.eye(a.shape[0])
     base = a.copy()
     base[np.abs(base) < _SUBNORMAL_GUARD] = 0.0
-    e = int(k)
-    while e:
+    result = None
+    while True:
         if e & 1:
-            result = result @ base
-            result[np.abs(result) < _SUBNORMAL_GUARD] = 0.0
+            if result is None:
+                result = base
+            else:
+                result = result @ base
+                result[np.abs(result) < _SUBNORMAL_GUARD] = 0.0
         e >>= 1
-        if e:
-            base = base @ base
-            tiny = np.abs(base) < _SUBNORMAL_GUARD
-            if tiny.all():
-                # every remaining exponent bit multiplies in a zero matrix
-                return np.zeros_like(result)
-            base[tiny] = 0.0
-    return result
+        if not e:
+            return result
+        base = base @ base
+        tiny = np.abs(base) < _SUBNORMAL_GUARD
+        if tiny.all():
+            # every remaining exponent bit multiplies in a zero matrix
+            return np.zeros_like(base)
+        base[tiny] = 0.0
 
 
 # stable_squares keeps the squares M^k for k up to this, rce_infinite's largest row table.

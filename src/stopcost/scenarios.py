@@ -55,6 +55,7 @@ would need a draw per person, which would change every rollout.
 """
 from __future__ import annotations
 
+import math
 import operator
 from collections import namedtuple
 from typing import NamedTuple
@@ -187,7 +188,9 @@ def build_csoc_overtime(p: CsocParams) -> tuple[np.ndarray, np.ndarray, np.ndarr
     """Overtime queue model: returns (M, x0, c) on states {0, ..., queue_cap}.
 
     x0 is the end-of-shift backlog distribution, obtained by running the
-    in-shift chain for shift_steps from an empty queue. During overtime the
+    in-shift chain R for k = shift_steps steps from an empty queue: e0 takes
+    k mod s steps of R, then k // s steps of R^s, s the largest power of two
+    <= sqrt(k), so x0 equals R^k e0 only up to rounding. During overtime the
     arrival stream is off, so the chain is pure death with the empty state
     absorbing. Cost is 0 at an empty queue, 0.5 for one alert, and climbs
     linearly to 1 at the cap.
@@ -200,9 +203,17 @@ def build_csoc_overtime(p: CsocParams) -> tuple[np.ndarray, np.ndarray, np.ndarr
     u = p.queue_cap
     n = u + 1
     regular = _regular_shift_matrix(p)
-    e0 = np.zeros(n)
-    e0[0] = 1.0
-    x0 = mat_pow(regular, p.shift_steps) @ e0
+    # log2(s) dense squarings and fewer than 2.5 sqrt(k) matrix-vector products,
+    # where R^k alone takes up to 2 log2(k) dense products
+    k = p.shift_steps
+    stride = 1 << (math.isqrt(k).bit_length() - 1)
+    x0 = np.zeros(n)
+    x0[0] = 1.0
+    for _ in range(k % stride):
+        x0 = regular @ x0
+    jump = mat_pow(regular, stride)
+    for _ in range(k // stride):
+        x0 = jump @ x0
 
     s = p.service_prob
     m = np.zeros((n, n))

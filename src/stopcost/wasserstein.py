@@ -185,7 +185,10 @@ def _drce_dual(g: np.ndarray, p_hat: np.ndarray, xi: float,
 
     D(lam) = lam xi + sum_t p_hat_t max_s (g_s - lam d(s, t)) is convex and
     piecewise linear in lam >= 0. Sending each t's mass to its inner maximiser
-    gives a law q whose piece is lam -> g.q + lam * (xi - transport cost).
+    gives a law q whose piece is lam -> g.q + lam * (xi - transport cost). On
+    the line the maximiser is the better of the last running-maximum record
+    of g_s + lam s at or left of t and of g_s - lam s at or right of t, each
+    side valued from its running maximum, with ties going left.
     Cutting planes between lam = 0 and a lam above the steepest ratio
     (g_s - g_t) / d(s, t) end once the new slope leaves the bracket, after
     finitely many pieces; mixing the two end laws at transport cost exactly xi
@@ -195,16 +198,21 @@ def _drce_dual(g: np.ndarray, p_hat: np.ndarray, xi: float,
     idx = np.arange(t)
 
     if d is None:
-        def last_record(v):
-            return np.maximum.accumulate(np.where(v >= np.maximum.accumulate(v), idx, 0))
+        def records(v):
+            # the running maximum of v and the last index that attains it
+            top = np.maximum.accumulate(v)
+            return top, np.maximum.accumulate(np.where(v >= top, idx, 0))
 
         def inner(lam):
             # an L1 distance transform: the best point at or left of each t and
-            # at or right of it, by two running maxima (left on ties)
-            left = last_record(g + lam * idx)
-            right = (t - 1 - last_record((g - lam * idx)[::-1]))[::-1]
-            s = np.where(g[right] - lam * (right - idx) > g[left] - lam * (idx - left),
-                         right, left)
+            # at or right of it, by two running maxima. The left one is worth
+            # max_{s<=t}(g_s + lam s) - lam t, the right one
+            # max_{s>=t}(g_s - lam s) + lam t; ties go left
+            shift = lam * idx
+            top_left, left = records(g + shift)
+            top_right, right = records((g - shift)[::-1])
+            s = np.where(top_right[::-1] + shift > top_left - shift,
+                         (t - 1 - right)[::-1], left)
             return s, float(p_hat @ np.abs(s - idx))
 
         steepest = float(np.abs(np.diff(g)).max())

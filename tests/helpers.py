@@ -331,3 +331,26 @@ def load_nominal_rows(path):
     for t, prob in entries.items():
         nominal[t - 1] = prob
     return nominal
+
+
+def mat_pow_identity_start(m, k, guard=1e-140):
+    """`mat_pow` as it ran before it started from the base: the product starts
+    at the identity and multiplies in each set bit's guarded square, flushing
+    magnitudes below `guard` to zero after every multiply."""
+    a = np.asarray(m, dtype=float)
+    result = np.eye(a.shape[0])
+    base = a.copy()
+    base[np.abs(base) < guard] = 0.0
+    e = int(k)
+    while e:
+        if e & 1:
+            result = result @ base
+            result[np.abs(result) < guard] = 0.0
+        e >>= 1
+        if e:
+            base = base @ base
+            tiny = np.abs(base) < guard
+            if tiny.all():
+                return np.zeros_like(result)
+            base[tiny] = 0.0
+    return result

@@ -910,6 +910,39 @@ def test_unallocatable_horizon_is_a_computational_failure(tmp_path, capsys):
         assert err.startswith("error:") and "Traceback" not in err, err
 
 
+def test_drce_names_the_file_of_an_unindexable_stopping_time(tmp_path, capsys):
+    """A t past any array's length is invalid input: exit 2, naming the file and t."""
+    model = write_json(tmp_path / "scalar.json", SCALAR_GAS)
+    nominal = tmp_path / "nominal.csv"
+    nominal.write_text("100000000000000000000,1\n")
+    code, out, err = run_cli(capsys, "drce", "--model", model, "--nominal", str(nominal),
+                             "--radius", "0.5")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {nominal}: stopping time 100000000000000000000 "), err
+
+
+def test_drce_names_the_file_of_an_unallocatable_stopping_time(tmp_path, capsys, monkeypatch):
+    """A t whose vector cannot be allocated is a computational failure: exit 1,
+    naming the file and t. The allocation is made to fail, so nothing asks for
+    terabytes."""
+    real_zeros = np.zeros
+
+    def refusing_zeros(shape, *args, **kwargs):
+        if np.prod(shape) >= 10 ** 12:
+            raise MemoryError("Unable to allocate 7.28 TiB")
+        return real_zeros(shape, *args, **kwargs)
+
+    monkeypatch.setattr(np, "zeros", refusing_zeros)
+    model = write_json(tmp_path / "scalar.json", SCALAR_GAS)
+    nominal = tmp_path / "nominal.csv"
+    nominal.write_text("1000000000000,1\n")
+    code, out, err = run_cli(capsys, "drce", "--model", model, "--nominal", str(nominal),
+                             "--radius", "0.5")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {nominal}: stopping time 1000000000000 "), err
+    assert "Unable to allocate 7.28 TiB" in err
+
+
 def test_main_keeps_no_state_between_calls(tmp_path, capsys):
     model = write_json(tmp_path / "scalar.json", SCALAR_GAS)
     out_path = tmp_path / "result.csv"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -111,6 +112,24 @@ def test_strided_table_read_equals_modular_indexing():
     for horizon in range(4, 40):
         got = cost_sequence_strided(m3, x3, c3, horizon).values
         assert np.array_equal(got, _strided_read_by_modulus(m3, x3, c3, horizon)), horizon
+
+
+def test_strided_holds_two_horizon_length_arrays():
+    """At T = 10^6 the evaluator holds the B x (B + 1) table and one buffer
+    that becomes the values: ~2 x 8T traced bytes at its peak, where a
+    transposed copy of the table on top would make it ~3 x 8T."""
+    rng = np.random.default_rng(127)
+    m = random_stable(rng, 3)
+    x0, c = rng.standard_normal(3), rng.standard_normal(3)
+    horizon = 10 ** 6
+    tracemalloc.start()
+    try:
+        values = cost_sequence_strided(m, x0, c, horizon).values
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 8 * horizon, peak
+    assert np.array_equal(values, _strided_read_by_modulus(m, x0, c, horizon))
 
 
 def test_strided_takes_the_recurrence_exactly_below_max_4_n(monkeypatch):

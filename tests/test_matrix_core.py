@@ -5,7 +5,7 @@ from stopcost.config import DEFAULT_TOLS
 from stopcost.matrix_core import SQUARES_KEPT, _assemble, certify_stable, mat_pow, mat_vec, \
     real_jordan, spectral_radius, stable_squares
 
-from helpers import random_stable, two_closed_classes_reduced
+from helpers import mat_pow_identity_start, random_stable, two_closed_classes_reduced
 
 
 def rotation(theta_deg):
@@ -28,6 +28,42 @@ def test_mat_pow_matches_numpy():
         m = rng.standard_normal((n, n)) * 0.5
         np.testing.assert_allclose(
             mat_pow(m, k), np.linalg.matrix_power(m, k), rtol=1e-10, atol=1e-12)
+
+
+MAT_POW_EXPONENTS = [*range(71), 255, 256, 960, 1023, 1024, 12345]
+
+
+def mat_pow_grid_matrices():
+    """(name, matrix) on which mat_pow must equal the identity-start loop bit for bit:
+    random matrices scaled to a spectral radius in [0.9, 1.02] (finite at every
+    exponent), column-stochastic ones, contracting ones, and two whose squares
+    hit the all-tiny early return."""
+    rng = np.random.default_rng(971)
+    out = []
+    for n in (1, 2, 3, 5, 8, 17):
+        m = rng.standard_normal((n, n))
+        out.append((f"random{n}", m * rng.uniform(0.9, 1.02) / spectral_radius(m)))
+        raw = rng.random((n, n))
+        out.append((f"stochastic{n}", raw / raw.sum(axis=0)))
+        out.append((f"contracting{n}", rng.standard_normal((n, n)) * 0.3 / n))
+    out.append(("tiny", np.array([[1e-100, 0.0], [0.0, -1e-100]])))
+    out.append(("nilpotent", np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])))
+    out.append(("guarded", np.array([[0.5, 1e-141], [-1e-141, 0.25]])))
+    return out
+
+
+MAT_POW_GRID = mat_pow_grid_matrices()
+
+
+@pytest.mark.parametrize("name,m", MAT_POW_GRID, ids=[name for name, _ in MAT_POW_GRID])
+def test_mat_pow_equals_the_identity_start_loop(name, m):
+    for k in MAT_POW_EXPONENTS:         # k = 0 included: a fresh, writable identity
+        got = mat_pow(m, k)
+        assert np.array_equal(got, mat_pow_identity_start(m, k)), (name, k)
+        assert got.flags.writeable and not np.shares_memory(got, m), (name, k)
+    if name == "tiny":      # its first square underflows the guard: the early return
+        assert np.array_equal(mat_pow(m, 2), np.zeros((2, 2)))
+        assert np.array_equal(mat_pow(m, 1), m)
 
 
 def test_mat_pow_rejects_negative_exponent():

@@ -86,6 +86,19 @@ def test_csoc_initial_backlog_is_shift_end_distribution():
     assert 5.0 < mean_backlog < 40.0
 
 
+@pytest.mark.parametrize("queue_cap", [1, 10, 100])
+def test_csoc_initial_backlog_is_the_shift_power(queue_cap):
+    """x0 is stepped by a power of the in-shift chain; it equals the first column
+    of that chain's shift_steps-th power up to rounding and stays a law."""
+    for steps in (1, 2, 3, 15, 16, 17, 255, 960, 1000):
+        p = CsocParams(queue_cap=queue_cap, shift_steps=steps)
+        _, x0, _ = build_csoc_overtime(p)
+        want = mat_pow(scenarios._regular_shift_matrix(p), steps)[:, 0]
+        np.testing.assert_allclose(x0, want, rtol=0, atol=1e-14, err_msg=str(steps))
+        assert x0.min() >= 0.0, steps
+        assert abs(x0.sum() - 1.0) <= 1e-12, steps
+
+
 def test_csoc_overtime_cost_decays():
     p = CsocParams(queue_cap=30)
     m, x0, c = build_csoc_overtime(p)

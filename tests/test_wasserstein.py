@@ -262,10 +262,11 @@ def test_drce_explicit_metric_matches_scaled_line():
         assert a == pytest.approx(b, abs=1e-7)
 
 
-def test_drce_line_matches_lp_oracle():
-    """Line-metric drce_finite on both paths against an independent HiGHS LP."""
+def _line_oracle_cases():
+    """(g, p, xi) for the line-metric oracle test: random costs, then costs whose
+    left and right candidates tie exactly (symmetric integer peaks and plateaus
+    -max(|t - c| - w, 0), and periodic integers)."""
     rng = np.random.default_rng(263)
-    labels = set()
     for k in range(120):
         t = int(rng.choice([2, 3, 5, 12, 40, 120])) if k < 114 else 600
         g = rng.standard_normal(t)
@@ -278,6 +279,30 @@ def test_drce_line_matches_lp_oracle():
             p /= p.sum()
         xi = [0.0, 1e-3, float(rng.uniform(0.01, 0.5)) * (t - 1), float(t - 1),
               0.5 * float(p.min())][k % 5]
+        yield g, p, xi
+    rng = np.random.default_rng(271)
+    for k in range(90):
+        t = int(rng.choice([3, 5, 12, 40, 120]))
+        idx = np.arange(t)
+        if k % 2 == 0:
+            g = -np.maximum(np.abs(idx - int(rng.integers(t))) - int(rng.integers(3)), 0)
+        else:
+            g = idx % int(rng.integers(2, 6))
+        g = g.astype(float) * float(rng.choice([1, 2, 0.5]))
+        p = random_distribution(rng, t)
+        if k % 3 != 2:
+            p = p * (rng.random(t) < 0.5)
+            p[int(rng.integers(t))] += 0.1
+            p /= p.sum()
+        xi = [0.0, 0.5, 1.0, float(rng.integers(1, t)), 0.5 * float(p.min())][k % 5]
+        yield g, p, xi
+
+
+def test_drce_line_matches_lp_oracle():
+    """Line-metric drce_finite on both paths against an independent HiGHS LP."""
+    labels = set()
+    for g, p, xi in _line_oracle_cases():
+        t = g.shape[0]
         sol = drce_finite(CostSequence(t, g), AmbiguitySet(p, xi))
         expected = "vertex-enumeration" if p.min() - xi >= 1e-12 else "lp"
         assert sol.case_used == expected
