@@ -32,9 +32,10 @@ Start-up is most of a one-question call, so `import stopcost.cli` loads numpy,
 the standard modules imported below and every module of the package, and no
 more. The records are named tuples: a class of three fields takes ~0.07 ms to
 build, against ~0.7 ms as a frozen dataclass. What one path alone needs loads
-on first use: `csv` in `load_nominal` (drce), `numpy.polynomial.chebyshev` in
-the geometric maximizer (drce-geom), `fractions` in `decompose`'s angle test,
-and scipy in `lp_solve`. The package's own modules stay eager: the span tracer
+on first use: `csv` in `load_nominal` (drce), and only for a nominal file that
+is not plain (see there); `numpy.polynomial.chebyshev` in the geometric
+maximizer (drce-geom), `fractions` in `decompose`'s angle test, and scipy in
+`lp_solve`. The package's own modules stay eager: the span tracer
 of `perfbench/spans.py` rebinds functions in every `stopcost` module in
 `sys.modules`, and would miss one loaded later.
 """
@@ -115,6 +116,10 @@ def _require(model: ModelFile, name: str) -> np.ndarray:
     return value
 
 
+# every byte but the five that decide whether a nominal file is plain
+_UNMARKED = bytes(b for b in range(256) if b not in b',\n"\r\0')
+
+
 def load_nominal(path: str) -> np.ndarray:
     """Two-column CSV (t, probability) -> dense nominal vector on 1..max t.
 
@@ -124,30 +129,36 @@ def load_nominal(path: str) -> np.ndarray:
     probability, none below -entry_clamp, and a total within `balance` of 1,
     as `AmbiguitySet` requires, but with the file named. A largest t that no
     array can index is invalid input (ValueError); one whose vector cannot be
-    allocated is a MemoryError; both name the file and t. The bulk pass keeps no
-    line numbers, so a file that fails a row check is read again, row by row,
-    to name the first bad row and its line (`_first_bad_row`)."""
-    # imported here, not at module level: only drce reads a CSV file
-    import csv
+    allocated is a MemoryError; both name the file and t.
 
+    The text is read once. A plain file, with exactly one comma on every
+    line, `\n` line ends only (the last one optional) and no `"`, `\r`, NUL
+    or blank line, is split in bulk (`_plain_columns`): there the csv reader
+    would give each line as the two fields around its comma. Any other file,
+    and a plain one whose columns fail a check or whose first t is blank (the
+    csv reader skips that row, so it is no header), is parsed by
+    `csv.reader`, the only use of `csv`. The bulk pass keeps no line numbers,
+    so a file whose rows fail a check there is walked again, row by row, to
+    name the first bad row and its line (`_first_bad_row`)."""
     with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row and row[0].strip()]
-    if rows:
         try:
-            int(rows[0][0])
-        except ValueError:
-            del rows[0]                     # header line
-    try:
-        ts = list(map(int, [row[0] for row in rows]))
-        probs = list(map(float, [row[1] for row in rows]))
-        clean = min(ts) >= 1 and len(set(ts)) == len(ts) and all(map(math.isfinite, probs)) \
-            and min(probs) >= -DEFAULT_TOLS.entry_clamp
-    except (ValueError, IndexError):        # no rows, a short row, a field that does not parse
-        clean = False
-    if not clean:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
+            text = fh.read()
+        except UnicodeDecodeError:          # raised at the offset the line reader names
+            fh.seek(0)
+            text = "".join(fh)
+    columns = _plain_columns(text)
+    checked = columns and _checked_columns(*columns)
+    if not checked:
+        import csv
+        import io
+
+        rows = [row for row in csv.reader(io.StringIO(text, newline="")) if row and row[0].strip()]
+        checked = _checked_columns([row[0] for row in rows],
+                                   [row[1] if len(row) > 1 else "" for row in rows])
+        if not checked:
+            reader = csv.reader(io.StringIO(text, newline=""))
             raise _first_bad_row(path, ((reader.line_num, row) for row in reader))
+    ts, probs = checked
     horizon = max(ts)
     try:
         nominal = np.zeros(horizon)
@@ -161,6 +172,36 @@ def load_nominal(path: str) -> np.ndarray:
     if abs(total - 1.0) > DEFAULT_TOLS.balance:
         raise ValueError(f"{path}: probabilities sum to {_fmt(total)}, not 1")
     return nominal
+
+
+def _plain_columns(text: str):
+    """The t and probability fields of a plain nominal file, or None for any
+    other text or a plain one whose first t is blank."""
+    body = text[:-1] if text.endswith("\n") else text
+    marks = body.encode().translate(None, _UNMARKED)
+    if marks != b",\n" * (len(marks) // 2) + b",":
+        return None
+    fields = body.replace("\n", ",").split(",")
+    return (fields[0::2], fields[1::2]) if fields[0].strip() else None
+
+
+def _checked_columns(t_fields, p_fields):
+    """(ts, probs) of the non-blank rows' fields, a first row whose t is not an
+    integer dropped as the header, or None when a row fails a check."""
+    try:
+        int(t_fields[0])
+    except ValueError:                      # header line
+        t_fields, p_fields = t_fields[1:], p_fields[1:]
+    except IndexError:                      # no rows
+        return None
+    try:
+        ts = list(map(int, t_fields))
+        probs = list(map(float, p_fields))
+        clean = min(ts) >= 1 and len(set(ts)) == len(ts) and all(map(math.isfinite, probs)) \
+            and min(probs) >= -DEFAULT_TOLS.entry_clamp
+    except ValueError:                      # a field that does not parse, or no rows
+        return None
+    return (ts, probs) if clean else None
 
 
 def _first_bad_row(path: str, numbered_rows) -> ValueError:

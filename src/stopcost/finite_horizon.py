@@ -7,6 +7,12 @@ backward costs (M^T)^j c, then reads each <c, M^t x0> for t <= B^2 off a single
 inner product, finishing any tail t > B^2 sequentially. They multiply in a
 different order, so their values usually differ in the last bits, except where
 `cost_sequence_strided` is the cheaper recurrence itself: T < max(4, n).
+
+Each matrix-vector step of either evaluator is written in place, into a row
+of the stride table or one of two spare vectors, by `np.dot(..., out=...)`.
+On contiguous operands that is the same dgemv as `@`, so the values are bit
+for bit those of `@` steps that allocate a vector each; a step on any other
+layout is `np.matmul(..., out=...)`, which is `@` itself.
 """
 from __future__ import annotations
 
@@ -28,7 +34,11 @@ class CostSequence(namedtuple("CostSequence", "horizon values")):
             raise ValueError("horizon must be >= 1")
         if values.shape != (horizon,):
             raise ValueError("values length must equal the horizon")
-        if not np.all(np.isfinite(values)):
+        # the sum is finite whenever every value is, and takes no T-byte mask;
+        # finite values whose sum overflows still pass the full check
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.isfinite(values.sum())
+        if not finite and not np.all(np.isfinite(values)):
             raise ValueError("cost sequence has non-finite entries")
         values.setflags(write=False)
         return super().__new__(cls, horizon, values)
@@ -53,9 +63,21 @@ def cost_sequence_naive(m, x0, c, horizon: int) -> CostSequence:
     return CostSequence(int(horizon), _recur(a, v, cv, np.empty(horizon)))
 
 
+def _step(a, v):
+    """The in-place form of `a @ v`: `np.dot`, the same dgemv, when both operands
+    are contiguous; `np.matmul` itself otherwise (a strided view or a reversed
+    vector takes another path than BLAS on a contiguous copy)."""
+    contiguous = (a.flags.c_contiguous or a.flags.f_contiguous) and v.flags.c_contiguous
+    return np.dot if contiguous else np.matmul
+
+
 def _recur(a, v, cv, out):
-    for t in range(out.size):       # out[t] = <cv, a^(t+1) v>
-        v = a @ v
+    """out[t] = <cv, a^(t+1) v>, each step written in place into one of two
+    spare vectors: bit for bit the values of `v = a @ v` steps."""
+    step = _step(a, v)
+    spare = np.empty((2, v.size))
+    for t in range(out.size):
+        v = step(a, v, out=spare[t & 1])
         out[t] = cv @ v
     return out
 
@@ -66,7 +88,8 @@ def cost_sequence_strided(m, x0, c, horizon: int) -> CostSequence:
     Two O(T) arrays: the B x (B + 1) table of inner products, and one buffer
     that takes the table transposed, so that entry t is g(t) for t <= B^2,
     and then the tail t > B^2 from the recurrence, written in place. The
-    values are a view of that buffer.
+    values are a view of that buffer. Each forward and backward state is
+    stepped in place into its row of `fwd` or `bwd`, bit-identical to `@`.
     """
     a, x, cv = _check(m, x0, c, horizon)
     horizon = int(horizon)
@@ -81,12 +104,13 @@ def cost_sequence_strided(m, x0, c, horizon: int) -> CostSequence:
     fwd = np.empty((big_stride + 1, n))
     fwd[0] = x
     for i in range(1, big_stride + 1):
-        fwd[i] = m_big @ fwd[i - 1]
+        np.dot(m_big, fwd[i - 1], out=fwd[i])      # m_big is a fresh C-ordered product
     bwd = np.empty((big_stride, n))
     bwd[0] = cv
     at = a.T
+    step = _step(at, bwd[0])
     for j in range(1, big_stride):
-        bwd[j] = at @ bwd[j - 1]
+        step(at, bwd[j - 1], out=bwd[j])
 
     table = bwd @ fwd.T                  # table[j, i] = <(M^T)^j c, M^{iB} x0>
     square = big_stride * big_stride

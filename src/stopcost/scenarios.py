@@ -204,16 +204,17 @@ def build_csoc_overtime(p: CsocParams) -> tuple[np.ndarray, np.ndarray, np.ndarr
     n = u + 1
     regular = _regular_shift_matrix(p)
     # log2(s) dense squarings and fewer than 2.5 sqrt(k) matrix-vector products,
-    # where R^k alone takes up to 2 log2(k) dense products
+    # where R^k alone takes up to 2 log2(k) dense products; each product is
+    # written in place, the same dgemv as `@` on these C-ordered operands
     k = p.shift_steps
     stride = 1 << (math.isqrt(k).bit_length() - 1)
-    x0 = np.zeros(n)
+    x0, spare = np.zeros((2, n))
     x0[0] = 1.0
     for _ in range(k % stride):
-        x0 = regular @ x0
+        x0, spare = np.dot(regular, x0, out=spare), x0
     jump = mat_pow(regular, stride)
     for _ in range(k // stride):
-        x0 = jump @ x0
+        x0, spare = np.dot(jump, x0, out=spare), x0
 
     s = p.service_prob
     m = np.zeros((n, n))

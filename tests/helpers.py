@@ -11,6 +11,8 @@ from scipy.optimize import linprog
 
 from stopcost.config import DEFAULT_TOLS
 from stopcost.markov_gas import _validate_transition
+from stopcost.matrix_core import mat_pow
+from stopcost.scenarios import _regular_shift_matrix
 
 
 def random_chain(rng, n):
@@ -354,3 +356,56 @@ def mat_pow_identity_start(m, k, guard=1e-140):
                 return np.zeros_like(result)
             base[tiny] = 0.0
     return result
+
+
+def recur_matmul_steps(m, x0, c, horizon):
+    """g(t) = <c, M^t x0> for t = 1..horizon as the recurrence ran when each
+    step allocated its vector: v = M @ v, then c @ v."""
+    a, v, cv = (np.asarray(z, dtype=float) for z in (m, x0, c))
+    out = np.empty(horizon)
+    for t in range(horizon):
+        v = a @ v
+        out[t] = cv @ v
+    return out
+
+
+def strided_matmul_steps(m, x0, c, horizon):
+    """`cost_sequence_strided` as it ran when each forward, backward and tail
+    step allocated its vector with `@`; below horizon max(4, n) the recurrence."""
+    a, x, cv = (np.asarray(z, dtype=float) for z in (m, x0, c))
+    n = a.shape[0]
+    if horizon < max(4, n):
+        return recur_matmul_steps(a, x, cv, horizon)
+    big_stride = math.isqrt(horizon)
+    m_big = mat_pow(a, big_stride)
+    fwd = np.empty((big_stride + 1, n))
+    fwd[0] = x
+    for i in range(1, big_stride + 1):
+        fwd[i] = m_big @ fwd[i - 1]
+    bwd = np.empty((big_stride, n))
+    bwd[0] = cv
+    at = a.T
+    for j in range(1, big_stride):
+        bwd[j] = at @ bwd[j - 1]
+    table = bwd @ fwd.T
+    square = big_stride * big_stride
+    out = np.empty(max(horizon + 1, table.size))
+    out[:table.size].reshape(table.T.shape)[...] = table.T
+    out[square + 1:horizon + 1] = recur_matmul_steps(a, fwd[big_stride], cv, horizon - square)
+    return out[1:horizon + 1]
+
+
+def csoc_backlog_matmul_steps(params):
+    """`build_csoc_overtime`'s x0 as it ran when each step allocated its vector:
+    k mod s steps of R, then k // s of R^s, s the largest power of two <= sqrt(k)."""
+    regular = _regular_shift_matrix(params)
+    k = params.shift_steps
+    stride = 1 << (math.isqrt(k).bit_length() - 1)
+    x0 = np.zeros(regular.shape[0])
+    x0[0] = 1.0
+    for _ in range(k % stride):
+        x0 = regular @ x0
+    jump = mat_pow(regular, stride)
+    for _ in range(k // stride):
+        x0 = jump @ x0
+    return x0

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import json
 import math
 import os
@@ -283,9 +284,13 @@ _BAD_T = ("x", "2.5", "0", "-1", "", " ")
 _BAD_P = ("nan", "inf", "-inf", "abc", "", "-0.5", "-1e-13", '"0.2\n5"', "1e-300")
 
 
-def _random_nominal_text(rng) -> str:
+def _random_nominal_text(rng, plain=False) -> str:
     """A (t, probability) CSV with headers, blank rows, spaced, signed and quoted
-    fields and rows out of order; some rows, probabilities or totals are broken."""
+    fields and rows out of order; some rows, probabilities or totals are broken.
+    A plain text has no quote, `\r`, blank row, short row or third column, and
+    may lack its final newline."""
+    t_forms, p_forms, bad_p = (tuple(f for f in forms if '"' not in f) if plain else forms
+                               for forms in (_T_FORMS, _P_FORMS, _BAD_P))
     support = rng.permutation(np.arange(1, int(rng.integers(1, 9)) + 1))
     support = support[:int(rng.integers(1, support.size + 1))]
     if rng.random() < 0.5:
@@ -296,22 +301,27 @@ def _random_nominal_text(rng) -> str:
         probs = list(w / w.sum())
     if rng.random() < 0.1:
         probs[0] *= 1.5
-    rows = [[_T_FORMS[rng.integers(len(_T_FORMS))].format(int(t)),
-             _P_FORMS[rng.integers(len(_P_FORMS))].format(float(p))]
+    rows = [[t_forms[rng.integers(len(t_forms))].format(int(t)),
+             p_forms[rng.integers(len(p_forms))].format(float(p))]
             for t, p in zip(support, probs)]
     for _ in range(int(rng.poisson(0.7))):      # breakages
         i = int(rng.integers(len(rows)))
-        kind = rng.integers(5)
+        kind = (0, 1, 4)[rng.integers(3)] if plain else rng.integers(5)
         if kind == 0:
             rows[i][0] = _BAD_T[rng.integers(len(_BAD_T))]
         elif kind == 1:
-            rows[i][1:] = [_BAD_P[rng.integers(len(_BAD_P))]]
+            rows[i][1:] = [bad_p[rng.integers(len(bad_p))]]
         elif kind == 2:
             del rows[i][1:]
         elif kind == 3:
             rows[i].append("extra")
         else:
             rows.insert(int(rng.integers(len(rows) + 1)), list(rows[i]))
+    if plain:
+        if rng.random() < 0.4:
+            rows.insert(0, [["t", "p"], ["time", " probability"]][rng.integers(2)])
+        text = "".join(",".join(row) + "\n" for row in rows)
+        return text[:-1] if rng.random() < 0.3 else text
     for _ in range(int(rng.poisson(1.0))):      # blank rows and rows with a blank t
         rows.insert(int(rng.integers(len(rows) + 1)), [["", " ", " ,0.5"][rng.integers(3)]])
     if rng.random() < 0.4:
@@ -320,36 +330,93 @@ def _random_nominal_text(rng) -> str:
     return "".join(",".join(row) + ends[rng.integers(2)] for row in rows)
 
 
+def _check_against_the_row_loop(path) -> str:
+    """Assert that `load_nominal` reads `path` as helpers.load_nominal_rows, the
+    row-by-row loop it replaced, does: the same array bit for bit, or the same
+    error; a law the loop returns that AmbiguitySet rejects is rejected by
+    load_nominal, with the file named. Returns which of the three it was."""
+    try:
+        expected = load_nominal_rows(str(path))
+    except (ValueError, csv.Error) as exc:  # csv.Error: a NUL before Python 3.11
+        with pytest.raises(type(exc)) as got:
+            cli.load_nominal(str(path))
+        assert str(got.value) == str(exc)
+        return "row error"
+    try:
+        AmbiguitySet(expected, 0.0)
+    except ValueError:
+        with pytest.raises(ValueError) as got:
+            cli.load_nominal(str(path))
+        assert str(got.value).startswith(f"{path}: ")
+        assert "negative probability" in str(got.value) or "sum to" in str(got.value)
+        return "law error"
+    got = cli.load_nominal(str(path))
+    assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+    return "answered"
+
+
 def test_load_nominal_matches_the_row_loop(tmp_path):
-    # helpers.load_nominal_rows is the row-by-row loop load_nominal replaced: the
-    # same array bit for bit, or the same error; a law it returns that AmbiguitySet
-    # rejects is rejected by load_nominal, with the file named
     rng = np.random.default_rng(20241021)
     path = tmp_path / "nominal.csv"
     outcomes = {"answered": 0, "row error": 0, "law error": 0}
     for _ in range(1500):
         path.write_bytes(_random_nominal_text(rng).encode())
-        try:
-            expected = load_nominal_rows(str(path))
-        except ValueError as exc:
-            with pytest.raises(ValueError) as got:
-                cli.load_nominal(str(path))
-            assert str(got.value) == str(exc)
-            outcomes["row error"] += 1
-            continue
-        try:
-            AmbiguitySet(expected, 0.0)
-        except ValueError:
-            with pytest.raises(ValueError) as got:
-                cli.load_nominal(str(path))
-            assert str(got.value).startswith(f"{path}: ")
-            assert "negative probability" in str(got.value) or "sum to" in str(got.value)
-            outcomes["law error"] += 1
-            continue
-        got = cli.load_nominal(str(path))
-        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
-        outcomes["answered"] += 1
+        outcomes[_check_against_the_row_loop(path)] += 1
     assert min(outcomes.values()) >= 150, outcomes
+    # plain texts take the bulk split; count those that do
+    split = 0
+    for _ in range(700):
+        text = _random_nominal_text(rng, plain=True)
+        path.write_bytes(text.encode())
+        _check_against_the_row_loop(path)
+        split += cli._plain_columns(text) is not None
+    assert split >= 500, split
+
+
+def test_plain_nominal_files_build_no_csv_reader(tmp_path, monkeypatch):
+    # long-horizon-style files, with and without a header and a final newline
+    rng = np.random.default_rng(20241022)
+    path = tmp_path / "nominal.csv"
+    cases = []
+    for horizon in (1, 2, 120, 600):
+        p = rng.random(horizon) + 0.05
+        rows = "".join(f"{t},{float(v)!r}\n" for t, v in enumerate(p / p.sum(), 1))
+        for text in (rows, rows[:-1], "t,probability\n" + rows, "t,probability\n" + rows[:-1]):
+            path.write_text(text)
+            cases.append((text, load_nominal_rows(str(path))))
+
+    def no_reader(*args, **kwargs):
+        raise AssertionError("a plain file built a csv reader")
+
+    monkeypatch.setattr(csv, "reader", no_reader)
+    for text, expected in cases:
+        path.write_text(text)
+        assert cli.load_nominal(str(path)).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("data", [
+    b" ,0.5\nt,p\n1,1\n",           # csv skips the blank-t row; the next one is the header
+    b" ,0.5\n1,0.25\n2,0.75\n",
+    b"t,p\ntime,probability\n1,1\n",
+    b"t,p\r\n1,0.5\r\n2,0.5\r\n",
+    b'1,"0.5"\n2,0.5\n',
+    b"1,0.5,x\n2,0.5,y\n",
+    b"1,0.5,2\n0.5\n",               # a comma moved a line down: no split pairs these fields
+    b"t,p,1\n0.5\n2,0.5\n",
+    b"1,0.5\n\n2,0.5\n",
+    b"1,0.5\r2,0.5\n",
+    b"1,0.5\x00\n2,0.5\n",
+    b"1_0,0.5\n2,0.5\n",
+    b" 5 ,0.5\n2,0.5\n",
+    b"+3,0.5\n2,0.5\n",
+    b"t,p\n" + b"".join(b"%d,0.001\n" % t for t in range(1, 1001)) + b"\xff,1\n",
+], ids=["blank-t-first", "blank-t-first-no-header", "two-headers", "crlf", "quoted",
+        "third-column", "comma-moved-down", "header-comma-moved-down", "blank-line", "lone-cr", "nul", "underscore-t", "spaced-t",
+        "plus-t", "late-undecodable-byte"])
+def test_load_nominal_matches_the_row_loop_on_edge_files(tmp_path, data):
+    path = tmp_path / "nominal.csv"
+    path.write_bytes(data)
+    _check_against_the_row_loop(path)
 
 
 def test_drce_rejects_duplicate_rows(tmp_path, capsys):

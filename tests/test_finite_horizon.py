@@ -15,7 +15,7 @@ from stopcost.finite_horizon import (
 from stopcost.matrix_core import mat_pow
 from stopcost.scenarios import HealthParams, build_health_chain, compare_report, sample_horizons
 
-from helpers import random_stable
+from helpers import random_stable, recur_matmul_steps, strided_matmul_steps
 
 
 def test_scalar_geometric_sequence():
@@ -117,7 +117,8 @@ def test_strided_table_read_equals_modular_indexing():
 def test_strided_holds_two_horizon_length_arrays():
     """At T = 10^6 the evaluator holds the B x (B + 1) table and one buffer
     that becomes the values: ~2 x 8T traced bytes at its peak, where a
-    transposed copy of the table on top would make it ~3 x 8T."""
+    transposed copy of the table on top would make it ~3 x 8T, and a T-byte
+    finiteness mask while the table is alive ~2.13 x 8T."""
     rng = np.random.default_rng(127)
     m = random_stable(rng, 3)
     x0, c = rng.standard_normal(3), rng.standard_normal(3)
@@ -128,7 +129,7 @@ def test_strided_holds_two_horizon_length_arrays():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * 8 * horizon, peak
+    assert peak < 2.07 * 8 * horizon, peak
     assert np.array_equal(values, _strided_read_by_modulus(m, x0, c, horizon))
 
 
@@ -184,6 +185,50 @@ def test_validation_errors():
         cost_sequence_strided(np.ones((2, 3)), [1.0, 0.0], [1.0, 0.0], 3)
     with pytest.raises(ValueError):
         CostSequence(3, np.zeros(2))
+
+
+@pytest.mark.parametrize("bad", [[np.nan], [np.inf], [-np.inf], [np.inf, -np.inf]],
+                         ids=["nan", "+inf", "-inf", "+inf-inf"])
+def test_cost_sequence_rejects_non_finite_values(bad):
+    values = np.zeros(10)
+    values[3:3 + len(bad)] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        CostSequence(10, values)
+
+
+def test_cost_sequence_accepts_finite_values_whose_sum_overflows():
+    values = np.full(4, 1e308)
+    with np.errstate(over="ignore"):
+        assert not np.isfinite(values.sum())
+    assert np.array_equal(CostSequence(4, values).values, np.full(4, 1e308))
+
+
+def _layouts(rng, n):
+    """(name, M, x0, c): C- and F-ordered matrices, a strided view of one, and
+    x0 and c as strided and reversed views."""
+    big = random_stable(rng, 2 * n)
+    m = np.ascontiguousarray(big[:n, :n])
+    vec = rng.standard_normal(3 * n)
+    x0, c = vec[:n].copy(), vec[n:2 * n].copy()
+    return [("C", m, x0, c), ("F", np.asfortranarray(m), x0, c),
+            ("strided matrix", big[::2, ::2], x0, c),
+            ("strided vectors", m, vec[::3], vec[1::3]),
+            ("reversed vectors", np.asfortranarray(m), vec[:n][::-1], vec[n:2 * n][::-1])]
+
+
+def test_in_place_steps_equal_the_matmul_steps():
+    """Each step is written in place; the values are those of the `@` steps
+    that allocated a vector each, bit for bit, on every operand layout."""
+    rng = np.random.default_rng(131)
+    for n in (1, 3, 6, 40):
+        for name, m, x0, c in _layouts(rng, n):
+            for horizon in sorted({4, 5, max(n - 1, 1), n, 49, 50, 1024, 1025}):
+                want = recur_matmul_steps(m, x0, c, min(horizon, 200))
+                got = cost_sequence_naive(m, x0, c, min(horizon, 200)).values
+                assert np.array_equal(got, want), (n, name, horizon)
+                got = cost_sequence_strided(m, x0, c, horizon).values
+                assert np.array_equal(got, strided_matmul_steps(m, x0, c, horizon)), \
+                    (n, name, horizon)
 
 
 def test_cost_sequence_values_read_only():

@@ -19,7 +19,7 @@ from stopcost.scenarios import (
     sample_horizons,
 )
 
-from helpers import rollout_costs_oracle
+from helpers import csoc_backlog_matmul_steps, rollout_costs_oracle
 
 
 # ------------------------------------------------------------- parameters ---
@@ -97,6 +97,14 @@ def test_csoc_initial_backlog_is_the_shift_power(queue_cap):
         np.testing.assert_allclose(x0, want, rtol=0, atol=1e-14, err_msg=str(steps))
         assert x0.min() >= 0.0, steps
         assert abs(x0.sum() - 1.0) <= 1e-12, steps
+
+
+@pytest.mark.parametrize("queue_cap", [1, 10, 100])
+def test_csoc_backlog_steps_in_place_equal_the_matmul_steps(queue_cap):
+    for steps in (1, 2, 3, 15, 16, 17, 255, 960, 1000):
+        _, x0, _ = build_csoc_overtime(CsocParams(queue_cap=queue_cap, shift_steps=steps))
+        want = csoc_backlog_matmul_steps(CsocParams(queue_cap=queue_cap, shift_steps=steps))
+        assert np.array_equal(x0, want), steps
 
 
 def test_csoc_overtime_cost_decays():
