@@ -23,7 +23,8 @@ All results are written as CSV with 12-significant-digit reals, buffered so
 failures produce no partial output; an `--out` path that cannot be written
 is invalid input. Exit codes: 0 success, 1 computational failure (a memory
 error included: a horizon too large to allocate), 2 invalid input (a nominal
-stopping time that no array can index included).
+stopping time that no array can index, and a nominal file the csv reader
+refuses, such as one with a field past its 131,072-character limit, included).
 
 `main` parses with one parser per process: the first call builds it and
 later calls reuse it. `build_parser` still returns a fresh parser.
@@ -137,7 +138,9 @@ def load_nominal(path: str) -> np.ndarray:
     would give each line as the two fields around its comma. Any other file,
     and a plain one whose columns fail a check or whose first t is blank (the
     csv reader skips that row, so it is no header), is parsed by
-    `csv.reader`, the only use of `csv`. The bulk pass keeps no line numbers,
+    `csv.reader`, the only use of `csv`; a `csv.Error` there (a field past
+    the reader's size limit) is invalid input, a ValueError naming the file.
+    The bulk pass keeps no line numbers,
     so a file whose rows fail a check there is walked again, row by row, to
     name the first bad row and its line (`_first_bad_row`)."""
     with open(path, newline="") as fh:
@@ -152,7 +155,11 @@ def load_nominal(path: str) -> np.ndarray:
         import csv
         import io
 
-        rows = [row for row in csv.reader(io.StringIO(text, newline="")) if row and row[0].strip()]
+        try:
+            rows = [row for row in csv.reader(io.StringIO(text, newline=""))
+                    if row and row[0].strip()]
+        except csv.Error as exc:            # e.g. a field past csv.field_size_limit()
+            raise ValueError(f"{path}: {exc}") from None
         checked = _checked_columns([row[0] for row in rows],
                                    [row[1] if len(row) > 1 else "" for row in rows])
         if not checked:

@@ -20,15 +20,15 @@ Sample i's substream is numpy's `Generator(PCG64(SeedSequence(entropy=seed,
 spawn_key=(i,))))`, but no SeedSequence is built per sample: each block of
 samples reads the seed's mixed pool off one `SeedSequence(seed)`, then hashes
 in every sample's spawn key, derives the output words and seeds PCG64 as
-arrays, computing every stream's start state at once. How the draws follow
-depends on the block's longest stream. If no stream is longer than 32 draws
-(the packaged SIR/SVIR studies draw at most 16 per stream), draw j of every
-stream is computed at once from the PCG64 recurrence, as M^j times the start
-state plus (M^(j-1) + ... + 1) times the increment mod 2**128, and no
-generator is built. A block with a
-longer stream (csoc's streams reach 242 draws) builds one generator, sets each
-stream's start state on it and draws it there, which is the cheaper way for
-long streams. Both give numpy's draws bit for bit.
+arrays, computing every stream's start state at once in uint64 word
+arithmetic. How the draws follow depends on the block's longest stream. If no
+stream is longer than 32 draws (the packaged SIR/SVIR studies draw at most 16
+per stream), draw j of every stream is computed at once from the PCG64
+recurrence, as M^j times the start state plus (M^(j-1) + ... + 1) times the
+increment mod 2**128, and no generator is built. A block with a longer stream
+(csoc's streams reach 242 draws) builds one generator, sets each stream's
+precomputed start state on it and draws it there, which is the cheaper way
+for long streams. Both give numpy's draws bit for bit.
 
 Each step is the table-lookup form of inverse-transform sampling. Once per
 call, each cumulative column's support band (the rows between its last zero
@@ -166,21 +166,21 @@ def _regular_shift_matrix(p: CsocParams) -> np.ndarray:
 
     Per step, one arrival (probability a) and one service completion
     (probability s) may occur independently: net +1 with a(1-s), net -1 with
-    s(1-a) when the queue is nonempty, otherwise hold; the ends clamp.
+    s(1-a) when the queue is nonempty, otherwise hold; the ends clamp. The
+    three diagonals are written as arrays, with no loop over states; each
+    hold probability is 1.0 less up, then less down, as one state's sum.
     """
     a, s = p.arrival_prob, p.service_prob
     up, down = a * (1.0 - s), s * (1.0 - a)
     n = p.queue_cap + 1
     m = np.zeros((n, n))
-    for i in range(n):
-        stay = 1.0
-        if i < p.queue_cap:
-            m[i + 1, i] = up
-            stay -= up
-        if i > 0:
-            m[i - 1, i] = down
-            stay -= down
-        m[i, i] = stay
+    stay = np.ones(n)
+    stay[:-1] -= up             # each hold is (1 - up) - down, summed in
+    stay[1:] -= down            # that order
+    flat = m.reshape(-1)        # a view: step n + 1 walks a diagonal
+    flat[::n + 1] = stay
+    flat[n::n + 1] = up         # m[i + 1, i]
+    flat[1::n + 1] = down       # m[i - 1, i]
     return m
 
 
@@ -193,7 +193,8 @@ def build_csoc_overtime(p: CsocParams) -> tuple[np.ndarray, np.ndarray, np.ndarr
     <= sqrt(k), so x0 equals R^k e0 only up to rounding. During overtime the
     arrival stream is off, so the chain is pure death with the empty state
     absorbing. Cost is 0 at an empty queue, 0.5 for one alert, and climbs
-    linearly to 1 at the cap.
+    linearly to 1 at the cap. Both chains are assembled diagonal by diagonal,
+    with no loop over states.
 
     This is a synthetic stand-in built from the documented constants, not the
     paper's CSOC data. With the defaults (35 alerts/h against 34/h served over
@@ -218,10 +219,10 @@ def build_csoc_overtime(p: CsocParams) -> tuple[np.ndarray, np.ndarray, np.ndarr
 
     s = p.service_prob
     m = np.zeros((n, n))
-    m[0, 0] = 1.0
-    for i in range(1, n):
-        m[i - 1, i] = s
-        m[i, i] = 1.0 - s
+    flat = m.reshape(-1)
+    flat[::n + 1] = 1.0 - s
+    flat[0] = 1.0               # the empty queue absorbs
+    flat[1::n + 1] = s          # m[i - 1, i]
 
     c = np.zeros(n)
     if u == 1:
@@ -398,17 +399,15 @@ def _stream_words(seed: int, keys: np.ndarray) -> np.ndarray:
 
 
 def _pcg_jumps(count: int) -> tuple[np.ndarray, ...]:
-    """The state PCG64 outputs at draw j = 1..count is mul_j * a + add_j * inc
-    with a = initstate + inc (seeding takes one step before the first draw):
-    mul_j = M**(j+1) and add_j = sum(M**i, i <= j), mod 2**128. Returns the
-    high and low uint64 words of mul, then of add."""
-    mul, add = [], []
-    power, total = _PCG_MULT, 1
+    """The state PCG64 holds after j = 0..count LCG steps from seeding is
+    mul_j * a + add_j * inc with a = initstate + inc: mul_j = M**(j+1) and
+    add_j = sum(M**i, i <= j), mod 2**128. Seeding itself takes jump 0 (the
+    start state a M + inc), and draw j outputs the state at jump j. Returns
+    the high and low uint64 words of mul, then of add."""
+    mul, add = [_PCG_MULT], [1]
     for _ in range(count):
-        total = (total + power) & _MASK128
-        power = power * _PCG_MULT & _MASK128
-        mul.append(power)
-        add.append(total)
+        add.append((add[-1] + mul[-1]) & _MASK128)
+        mul.append(mul[-1] * _PCG_MULT & _MASK128)
     return tuple(np.array([v >> shift & (1 << 64) - 1 for v in values], dtype=np.uint64)
                  for values in (mul, add) for shift in (64, 0))
 
@@ -430,23 +429,43 @@ def _mulhi(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a1 * b1 + (p01 >> _U32) + (p10 >> _U32) + (mid >> _U32)
 
 
+def _seed_words(words: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(a_hi, a_lo, inc_hi, inc_lo) of each row (w0, w1, w2, w3) of `words`:
+    PCG64 seeds with initstate = w0 w1 and inc = (w2 w3) << 1 | 1, and its
+    first LCG step starts from a = initstate + inc, all mod 2**128."""
+    w0, w1, w2, w3 = words.T
+    inc_hi = w2 << _U1 | w3 >> _U63
+    inc_lo = w3 << _U1 | _U1
+    a_lo = inc_lo + w1
+    a_hi = inc_hi + w0 + (a_lo < inc_lo)
+    return a_hi, a_lo, inc_hi, inc_lo
+
+
+def _pcg_states(a_hi: np.ndarray, a_lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray,
+                jumps: slice) -> tuple[np.ndarray, np.ndarray]:
+    """High and low uint64 words of mul_j a + add_j inc (mod 2**128), the
+    state at each jump j of `jumps` (`_pcg_jumps`), broadcast over the words.
+    Every wrapping product is an array product: a product of np.uint64
+    scalars warns on overflow."""
+    m_hi, m_lo = _MUL_HI[jumps], _MUL_LO[jumps]
+    c_hi, c_lo = _ADD_HI[jumps], _ADD_LO[jumps]
+    first = a_lo * m_lo
+    lo = first + inc_lo * c_lo
+    hi = _mulhi(a_lo, m_lo) + _mulhi(inc_lo, c_lo)
+    hi += a_lo * m_hi + a_hi * m_lo + inc_lo * c_hi + inc_hi * c_lo + (lo < first)
+    return hi, lo
+
+
 def _pcg_grid(a_hi: np.ndarray, a_lo: np.ndarray, inc_hi: np.ndarray,
               inc_lo: np.ndarray, width: int) -> np.ndarray:
     """Draws 1..width of each stream, one row per stream, given its columns
     a = initstate + inc and inc as high and low uint64 words.
 
-    Draw j steps the state to mul_j a + add_j inc (mod 2**128); its output is
-    the XSL-RR of that state, rotr(hi ^ lo, hi >> 58), and the draw is
-    (output >> 11) * 2**-53, as PCG64 and `Generator.random` compute them.
-    Every wrapping product is an array product: a product of np.uint64
-    scalars warns on overflow.
+    Draw j outputs the state at jump j (`_pcg_states`): the XSL-RR of that
+    state, rotr(hi ^ lo, hi >> 58), and the draw is (output >> 11) * 2**-53,
+    as PCG64 and `Generator.random` compute them.
     """
-    m_hi, m_lo = _MUL_HI[:width], _MUL_LO[:width]
-    c_hi, c_lo = _ADD_HI[:width], _ADD_LO[:width]
-    first = a_lo * m_lo
-    lo = first + inc_lo * c_lo
-    hi = _mulhi(a_lo, m_lo) + _mulhi(inc_lo, c_lo)
-    hi += a_lo * m_hi + a_hi * m_lo + inc_lo * c_hi + inc_hi * c_lo + (lo < first)
+    hi, lo = _pcg_states(a_hi, a_lo, inc_hi, inc_lo, slice(1, width + 1))
     out = hi ^ lo
     rot = hi >> _U58
     out = out >> rot | out << ((_U64 - rot) & _U63)
@@ -457,11 +476,7 @@ def _draw_short_streams(words: np.ndarray, widths: np.ndarray, out: np.ndarray) 
     """`_draw_streams` for streams of at most _SHORT_STREAM_DRAWS draws, with
     no generator: rows of streams are drawn as grids of at most
     _SHORT_CHUNK_CELLS cells, and each row keeps its first widths[j] draws."""
-    w0, w1, w2, w3 = words.T
-    inc_hi = w2 << _U1 | w3 >> _U63
-    inc_lo = w3 << _U1 | _U1
-    a_lo = inc_lo + w1
-    a_hi = inc_hi + w0 + (a_lo < inc_lo)
+    a_hi, a_lo, inc_hi, inc_lo = _seed_words(words)
     rows = max(1, _SHORT_CHUNK_CELLS // int(widths.max()))
     first = 0
     for start in range(0, widths.size, rows):
@@ -482,24 +497,29 @@ def _draw_streams(seed: int, keys: np.ndarray, widths: list[int], out: np.ndarra
     inc = (w2 w3) << 1 | 1: its state starts at inc, adds initstate and takes
     one LCG step, all mod 2**128. If no stream is longer than
     _SHORT_STREAM_DRAWS, every draw is computed from those words as arrays
-    (`_draw_short_streams`) and no generator is built. Otherwise the block
-    builds one PCG64 generator, sets each stream's state on it in turn and
-    draws it there: past a few dozen draws per stream the generator is the
-    cheaper of the two.
+    (`_draw_short_streams`) and no generator is built. Otherwise every
+    stream's start state and increment are computed at once in the same
+    uint64 word arithmetic (jump 0 of `_pcg_states`), and the block builds
+    one PCG64 generator, sets each stream's state on it in turn and draws it
+    there: past a few dozen draws per stream the generator is the cheaper of
+    the two. Each stream then costs only the joining of its words into the
+    two 128-bit integers of `PCG64.state`, the state set and one draw call.
     """
     words = _stream_words(seed, keys)
     if max(widths) <= _SHORT_STREAM_DRAWS:
         _draw_short_streams(words, np.asarray(widths), out)
         return
+    a_hi, a_lo, inc_hi, inc_lo = _seed_words(words)
+    state_hi, state_lo = _pcg_states(a_hi, a_lo, inc_hi, inc_lo, slice(0, 1))
     gen = np.random.Generator(np.random.PCG64(0))
     bitgen = gen.bit_generator
     inner = {}
     state = {"bit_generator": "PCG64", "state": inner, "has_uint32": 0, "uinteger": 0}
     first = 0
-    for (w0, w1, w2, w3), width in zip(words.tolist(), widths):
-        inc = ((w2 << 64 | w3) << 1 | 1) & _MASK128
-        inner["state"] = ((inc + (w0 << 64 | w1)) * _PCG_MULT + inc) & _MASK128
-        inner["inc"] = inc
+    for s_hi, s_lo, i_hi, i_lo, width in zip(state_hi.tolist(), state_lo.tolist(),
+                                             inc_hi.tolist(), inc_lo.tolist(), widths):
+        inner["state"] = s_hi << 64 | s_lo
+        inner["inc"] = i_hi << 64 | i_lo
         bitgen.state = state
         gen.random(out=out[first:first + width])
         first += width
@@ -623,7 +643,8 @@ def _rollout_costs(cum_cols: np.ndarray, cum_x0: np.ndarray, c: np.ndarray,
     once from the pool of one `SeedSequence(seed)` (`_stream_words`), so no
     per-sample SeedSequence is built. `_draw_streams` then computes every
     draw as arrays if no stream of the block is longer than 32 draws, and
-    otherwise builds one generator for the block and draws each stream
+    otherwise computes every stream's PCG64 start state at once in uint64
+    word arithmetic, builds one generator for the block and draws each stream
     through it. All walkers of a block step together, longest first so the
     walkers still moving form a prefix. Each step looks its draw up in the
     band tables of the step matrix (`_band_table`, built once per call; x0's
@@ -682,13 +703,13 @@ def compare_report(m, x0, c, samples, xi: float, seed: int, *,
     substreams split from the seed, estimate how often the realized cost
     exceeds each estimate. The rollouts run batched over blocks of samples,
     with each sample's substream pre-drawn from a start state computed for
-    the whole block from the pool of one numpy `SeedSequence(seed)`: as
-    arrays from the PCG64 recurrence when no stream of the block is longer
-    than 32 draws, else through one generator the block builds. Each
-    step reads its next state off per-column band tables built once per
-    call, by a search over the widest support band. The percentages are
-    bit-identical to sequential per-sample draws from fresh generators. The
-    matrix need only be column-stochastic. The seed must be a non-negative
+    the whole block, in uint64 word arithmetic, from the pool of one numpy
+    `SeedSequence(seed)`: as arrays from the PCG64 recurrence when no stream
+    of the block is longer than 32 draws, else through one generator the
+    block builds. Each step reads its next state off per-column band tables
+    built once per call, by a search over the widest support band. The
+    percentages are bit-identical to sequential per-sample draws from fresh
+    generators. The matrix need only be column-stochastic. The seed must be a non-negative
     integer, and the samples, support_max, copies and population integers: a
     float among them raises ValueError before any work is done.
 

@@ -395,6 +395,54 @@ def strided_matmul_steps(m, x0, c, horizon):
     return out[1:horizon + 1]
 
 
+def regular_shift_matrix_loop(params):
+    """`_regular_shift_matrix` as it was built one state at a time: each column
+    holds up (to i + 1) below the cap and down (to i - 1) above the empty
+    queue, and the hold probability is 1.0, less up, less down, in that order."""
+    a, s = params.arrival_prob, params.service_prob
+    up, down = a * (1.0 - s), s * (1.0 - a)
+    n = params.queue_cap + 1
+    m = np.zeros((n, n))
+    for i in range(n):
+        stay = 1.0
+        if i < params.queue_cap:
+            m[i + 1, i] = up
+            stay -= up
+        if i > 0:
+            m[i - 1, i] = down
+            stay -= down
+        m[i, i] = stay
+    return m
+
+
+def overtime_death_chain_loop(params):
+    """`build_csoc_overtime`'s overtime matrix as it was built one state at a
+    time: the empty queue absorbs, and state i > 0 moves to i - 1 with s."""
+    s = params.service_prob
+    n = params.queue_cap + 1
+    m = np.zeros((n, n))
+    m[0, 0] = 1.0
+    for i in range(1, n):
+        m[i - 1, i] = s
+        m[i, i] = 1.0 - s
+    return m
+
+
+PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def pcg_start_states(words):
+    """(state, inc) of PCG64 seeded from each row (w0, w1, w2, w3) of uint64
+    words, in Python integers as numpy's seeding computes them: inc =
+    (w2 w3) << 1 | 1, and the state is (w0 w1 + inc) M + inc, mod 2**128."""
+    mask = (1 << 128) - 1
+    starts = []
+    for w0, w1, w2, w3 in np.asarray(words, dtype=np.uint64).tolist():
+        inc = ((w2 << 64 | w3) << 1 | 1) & mask
+        starts.append((((inc + (w0 << 64 | w1)) * PCG_MULT + inc) & mask, inc))
+    return starts
+
+
 def csoc_backlog_matmul_steps(params):
     """`build_csoc_overtime`'s x0 as it ran when each step allocated its vector:
     k mod s steps of R, then k // s of R^s, s the largest power of two <= sqrt(k)."""

@@ -12,7 +12,7 @@ import pytest
 import scipy.linalg
 
 import stopcost
-from stopcost import cli, markov_gas, matrix_core
+from stopcost import cli, markov_gas, matrix_core, scenarios
 from stopcost.cli import build_parser, main
 from stopcost.finite_horizon import CostSequence, cost_sequence_naive
 from stopcost.infinite_horizon import rce_infinite
@@ -337,10 +337,15 @@ def _check_against_the_row_loop(path) -> str:
     load_nominal, with the file named. Returns which of the three it was."""
     try:
         expected = load_nominal_rows(str(path))
-    except (ValueError, csv.Error) as exc:  # csv.Error: a NUL before Python 3.11
-        with pytest.raises(type(exc)) as got:
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
             cli.load_nominal(str(path))
         assert str(got.value) == str(exc)
+        return "row error"
+    except csv.Error as exc:    # a NUL before Python 3.11: invalid input, the file named
+        with pytest.raises(ValueError) as got:
+            cli.load_nominal(str(path))
+        assert str(got.value) == f"{path}: {exc}"
         return "row error"
     try:
         AmbiguitySet(expected, 0.0)
@@ -784,6 +789,21 @@ def test_scenario_rows_are_pinned(name, capsys):
     assert out == ComparisonReport.CSV_HEADER + "\n" + SCENARIO_GOLDEN_ROWS[name] + "\n"
 
 
+def test_scenario_csoc_row_over_several_rollout_blocks_is_pinned(capsys, monkeypatch):
+    """2000 samples of up to 242 draws take four rollout blocks of at most 541
+    samples; the row was printed before the start states were computed in bulk."""
+    blocks = []
+    monkeypatch.setattr(scenarios, "_draw_streams",
+                        lambda *args, _draw=scenarios._draw_streams: blocks.append(1) or
+                        _draw(*args))
+    code, out, err = run_cli(capsys, "scenario", "csoc",
+                             "--samples", "2000", "--xi", "4", "--seed", "1")
+    assert code == 0, err
+    assert out == (ComparisonReport.CSV_HEADER + "\n"
+                   + "0.564478072867,0.624694633666,47.6,35.8,61,4,1\n")
+    assert len(blocks) == 4
+
+
 # Seeds of two and five uint32 words, printed before the per-sample
 # SeedSequence was replaced by the vectorized replica of its seeding.
 MULTIWORD_SEED_ROWS = {
@@ -986,6 +1006,19 @@ def test_drce_names_the_file_of_an_unindexable_stopping_time(tmp_path, capsys):
                              "--radius", "0.5")
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {nominal}: stopping time 100000000000000000000 "), err
+
+
+def test_drce_names_the_file_of_a_field_past_the_csv_limit(tmp_path, capsys):
+    """A probability field longer than the csv reader's 131,072-character
+    limit is invalid input: exit 2, an error line naming the file, no traceback."""
+    model = write_json(tmp_path / "scalar.json", SCALAR_GAS)
+    nominal = tmp_path / "nominal.csv"
+    nominal.write_text("1,0.5\n2," + "1" * 200_000 + "\n")
+    code, out, err = run_cli(capsys, "drce", "--model", model, "--nominal", str(nominal),
+                             "--radius", "0.5")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {nominal}: field larger than field limit"), err
+    assert "Traceback" not in err
 
 
 def test_drce_names_the_file_of_an_unallocatable_stopping_time(tmp_path, capsys, monkeypatch):

@@ -19,7 +19,14 @@ from stopcost.scenarios import (
     sample_horizons,
 )
 
-from helpers import csoc_backlog_matmul_steps, rollout_costs_oracle
+from helpers import (
+    PCG_MULT,
+    csoc_backlog_matmul_steps,
+    overtime_death_chain_loop,
+    pcg_start_states,
+    regular_shift_matrix_loop,
+    rollout_costs_oracle,
+)
 
 
 # ------------------------------------------------------------- parameters ---
@@ -105,6 +112,20 @@ def test_csoc_backlog_steps_in_place_equal_the_matmul_steps(queue_cap):
         _, x0, _ = build_csoc_overtime(CsocParams(queue_cap=queue_cap, shift_steps=steps))
         want = csoc_backlog_matmul_steps(CsocParams(queue_cap=queue_cap, shift_steps=steps))
         assert np.array_equal(x0, want), steps
+
+
+# (arrival_rate, service_rate) per hour at 30 s steps: the defaults, per-step
+# probabilities near 1e-8, and near 1 (the rates stay below 120 steps an hour)
+_CSOC_RATES = [(35.0, 34.0), (1.2e-6, 3.6e-6), (119.99, 119.9)]
+
+
+@pytest.mark.parametrize("rates", _CSOC_RATES)
+@pytest.mark.parametrize("queue_cap", [1, 2, 3, 12, 100, 400])
+def test_csoc_chains_built_as_arrays_equal_the_per_state_loops(queue_cap, rates):
+    p = CsocParams(arrival_rate=rates[0], service_rate=rates[1], queue_cap=queue_cap)
+    assert np.array_equal(scenarios._regular_shift_matrix(p), regular_shift_matrix_loop(p))
+    m, _, _ = build_csoc_overtime(p)
+    assert np.array_equal(m, overtime_death_chain_loop(p))
 
 
 def test_csoc_overtime_cost_decays():
@@ -499,6 +520,44 @@ def test_draw_streams_equal_numpy_seeded_generators(seed, monkeypatch):
                 np.random.SeedSequence(entropy=seed, spawn_key=(key,)))).random(width)
             assert np.array_equal(u[first:first + width], want), f"key {key}, width {width}"
             first += width
+
+
+def _carry_rows():
+    """Word rows (w0, w1, w2, w3) whose start state takes each carry of the
+    uint64 word arithmetic: every row of 0 and 2**64 - 1, rows where
+    a_lo = inc_lo + w1 wraps, and rows where a_lo M_lo + inc_lo wraps."""
+    top = 2**64 - 1
+    rows = [[top if bit >> k & 1 else 0 for k in range(4)] for bit in range(16)]
+    rng = np.random.default_rng(3)
+    inv_m_lo = pow(PCG_MULT & top, -1, 2**64)
+    wraps_a, wraps_lo = [[0, top, 0, 2**63]], []     # inc_lo = 1, a_lo = 0
+    for _ in range(64):
+        w0, w2, w3 = (int(v) for v in rng.integers(0, 2**64, size=3, dtype=np.uint64))
+        inc_lo = (w3 << 1 | 1) & top
+        wraps_a.append([w0, 2**64 - inc_lo + int(rng.integers(0, 2**20)), w2, w3])
+        # a_lo with a_lo M_lo = 2**64 - 1 - k mod 2**64 for some k < inc_lo
+        a_lo = (top - int(rng.integers(0, min(inc_lo, 2**32)))) * inv_m_lo % 2**64
+        wraps_lo.append([w0, (a_lo - inc_lo) % 2**64, w2, w3])
+    for w0, w1, w2, w3 in wraps_a:
+        assert (w3 << 1 | 1) % 2**64 + w1 >= 2**64
+    for w0, w1, w2, w3 in wraps_lo:
+        inc_lo = (w3 << 1 | 1) % 2**64
+        assert (inc_lo + w1) % 2**64 * (PCG_MULT & top) % 2**64 + inc_lo >= 2**64
+    return np.array(rows + wraps_a + wraps_lo, dtype=np.uint64)
+
+
+def test_bulk_start_states_equal_python_integer_seeding():
+    """Jump 0 of `_pcg_states` over `_seed_words` is numpy's seeded PCG64
+    state, and `_seed_words`' increment its inc, on rows that take every
+    carry and on the words of every boundary seed."""
+    blocks = [_carry_rows()] + [scenarios._stream_words(seed, np.arange(50))
+                                for seed in _WORD_BOUNDARY_SEEDS]
+    for words in blocks:
+        a_hi, a_lo, inc_hi, inc_lo = scenarios._seed_words(words)
+        hi, lo = scenarios._pcg_states(a_hi, a_lo, inc_hi, inc_lo, slice(0, 1))
+        got = [(h << 64 | l_, ih << 64 | il) for h, l_, ih, il in
+               zip(hi.tolist(), lo.tolist(), inc_hi.tolist(), inc_lo.tolist())]
+        assert got == pcg_start_states(words)
 
 
 def _band_tables(rng):
