@@ -464,8 +464,9 @@ def _feasible_rates(rho_hat: float, xi: float, eps: float) -> tuple[float, float
     lo = rho_hat / (1.0 + rho_hat * xi)
     hi = 1.0 if rho_hat * xi >= 1.0 else min(1.0, rho_hat / (1.0 - rho_hat * xi))
     lo = min(max(lo, 1e-12), 1.0 - 1e-12)
-    if hi < lo:
-        raise ValueError("empty feasible interval")
+    if hi < lo:     # lo rose to the floor past hi: the ball is not empty
+        raise ValueError(f"every rate within radius {xi!r} of rho_hat = {rho_hat!r} lies "
+                         "below 1e-12, the smallest rate supported")
     return lo, hi
 
 

@@ -23,12 +23,13 @@ in every sample's spawn key, derives the output words and seeds PCG64 as
 arrays, computing every stream's start state at once in uint64 word
 arithmetic. How the draws follow depends on the block's longest stream. If no
 stream is longer than 32 draws (the packaged SIR/SVIR studies draw at most 16
-per stream), draw j of every stream is computed at once from the PCG64
-recurrence, as M^j times the start state plus (M^(j-1) + ... + 1) times the
-increment mod 2**128, and no generator is built. A block with a longer stream
-(csoc's streams reach 242 draws) builds one generator, sets each stream's
-precomputed start state on it and draws it there, which is the cheaper way
-for long streams. Both give numpy's draws bit for bit.
+per stream), no generator is built: the block's draws are one flat run of
+(stream, j) pairs in stream order, and draw j of a stream is computed from the
+PCG64 recurrence, as M^j times the start state plus (M^(j-1) + ... + 1) times
+the increment mod 2**128. A block with a longer stream (csoc's streams reach
+242 draws) builds one generator, sets each stream's precomputed start state on
+it and draws it there, which is the cheaper way for long streams. Both give
+numpy's draws bit for bit.
 
 Each step is the table-lookup form of inverse-transform sampling. Once per
 call, each cumulative column's support band (the rows between its last zero
@@ -301,12 +302,10 @@ def build_health_chain(p: HealthParams) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 def _checked_seed(seed) -> int:
     """The seed as a Python int; bools count, floats and negatives do not."""
-    try:
-        value = operator.index(seed)
-    except TypeError:
-        value = -1
+    requirement = "seed must be a non-negative integer"
+    value = _as_int(seed, requirement)
     if value < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+        raise ValueError(f"{requirement}, got {seed}")
     return value
 
 
@@ -412,8 +411,9 @@ def _pcg_jumps(count: int) -> tuple[np.ndarray, ...]:
                  for values in (mul, add) for shift in (64, 0))
 
 
-# A block whose streams are all this short is drawn as arrays, in chunks of
-# at most _SHORT_CHUNK_CELLS draws; a longer stream goes through a generator.
+# A block whose streams are all this short is drawn without a generator, as
+# one flat run of (stream, jump) cells taken _SHORT_CHUNK_CELLS at a time; a
+# longer stream goes through a generator. The jump tables cover jumps 0..32.
 _SHORT_STREAM_DRAWS = 32
 _SHORT_CHUNK_CELLS = 8192
 _MUL_HI, _MUL_LO, _ADD_HI, _ADD_LO = _pcg_jumps(_SHORT_STREAM_DRAWS)
@@ -442,11 +442,11 @@ def _seed_words(words: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _pcg_states(a_hi: np.ndarray, a_lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray,
-                jumps: slice) -> tuple[np.ndarray, np.ndarray]:
+                jumps: slice | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """High and low uint64 words of mul_j a + add_j inc (mod 2**128), the
-    state at each jump j of `jumps` (`_pcg_jumps`), broadcast over the words.
-    Every wrapping product is an array product: a product of np.uint64
-    scalars warns on overflow."""
+    state at jump j (`_pcg_jumps`) of `jumps`, a slice or an index array of
+    the jump tables, elementwise against the words. Every wrapping product is
+    an array product: a product of np.uint64 scalars warns on overflow."""
     m_hi, m_lo = _MUL_HI[jumps], _MUL_LO[jumps]
     c_hi, c_lo = _ADD_HI[jumps], _ADD_LO[jumps]
     first = a_lo * m_lo
@@ -456,60 +456,39 @@ def _pcg_states(a_hi: np.ndarray, a_lo: np.ndarray, inc_hi: np.ndarray, inc_lo: 
     return hi, lo
 
 
-def _pcg_grid(a_hi: np.ndarray, a_lo: np.ndarray, inc_hi: np.ndarray,
-              inc_lo: np.ndarray, width: int) -> np.ndarray:
-    """Draws 1..width of each stream, one row per stream, given its columns
-    a = initstate + inc and inc as high and low uint64 words.
-
-    Draw j outputs the state at jump j (`_pcg_states`): the XSL-RR of that
-    state, rotr(hi ^ lo, hi >> 58), and the draw is (output >> 11) * 2**-53,
-    as PCG64 and `Generator.random` compute them.
-    """
-    hi, lo = _pcg_states(a_hi, a_lo, inc_hi, inc_lo, slice(1, width + 1))
-    out = hi ^ lo
-    rot = hi >> _U58
-    out = out >> rot | out << ((_U64 - rot) & _U63)
-    return (out >> _U11) * 2.0 ** -53
-
-
-def _draw_short_streams(words: np.ndarray, widths: np.ndarray, out: np.ndarray) -> None:
-    """`_draw_streams` for streams of at most _SHORT_STREAM_DRAWS draws, with
-    no generator: rows of streams are drawn as grids of at most
-    _SHORT_CHUNK_CELLS cells, and each row keeps its first widths[j] draws."""
-    a_hi, a_lo, inc_hi, inc_lo = _seed_words(words)
-    rows = max(1, _SHORT_CHUNK_CELLS // int(widths.max()))
-    first = 0
-    for start in range(0, widths.size, rows):
-        part = slice(start, start + rows)
-        width = int(widths[part].max())
-        grid = _pcg_grid(a_hi[part, None], a_lo[part, None], inc_hi[part, None],
-                         inc_lo[part, None], width)
-        draws = grid[np.arange(width) < widths[part, None]]
-        out[first:first + draws.size] = draws
-        first += draws.size
-
-
-def _draw_streams(seed: int, keys: np.ndarray, widths: list[int], out: np.ndarray) -> None:
+def _draw_streams(seed: int, keys: np.ndarray, widths: np.ndarray, out: np.ndarray) -> None:
     """Fill `out` with the first widths[j] draws of each key's stream in turn,
     `Generator(PCG64(SeedSequence(entropy=seed, spawn_key=(key,)))).random`.
 
     PCG64 seeds from the words (w0, w1, w2, w3) with initstate = w0 w1 and
     inc = (w2 w3) << 1 | 1: its state starts at inc, adds initstate and takes
-    one LCG step, all mod 2**128. If no stream is longer than
-    _SHORT_STREAM_DRAWS, every draw is computed from those words as arrays
-    (`_draw_short_streams`) and no generator is built. Otherwise every
-    stream's start state and increment are computed at once in the same
-    uint64 word arithmetic (jump 0 of `_pcg_states`), and the block builds
-    one PCG64 generator, sets each stream's state on it in turn and draws it
-    there: past a few dozen draws per stream the generator is the cheaper of
-    the two. Each stream then costs only the joining of its words into the
-    two 128-bit integers of `PCG64.state`, the state set and one draw call.
+    one LCG step, all mod 2**128 (`_seed_words`). If no stream is longer than
+    _SHORT_STREAM_DRAWS, no generator is built. Each cell of `out` is a
+    (stream, j) pair, and its draw comes from the stream's state at jump j
+    (`_pcg_states`): (output >> 11) * 2**-53, where the output is the XSL-RR
+    of that state, rotr(hi ^ lo, hi >> 58), as PCG64 and `Generator.random`
+    compute it. The cells are computed in out's order, _SHORT_CHUNK_CELLS at
+    a time. Otherwise every stream's start state (jump 0) is computed at once
+    in the same word arithmetic, and the block builds one PCG64 generator,
+    sets each stream's state on it in turn and draws it there: past a few
+    dozen draws per stream the generator is the cheaper of the two. Each
+    stream then costs only the joining of its words into the two 128-bit
+    integers of `PCG64.state`, the state set and one draw call.
     """
-    words = _stream_words(seed, keys)
-    if max(widths) <= _SHORT_STREAM_DRAWS:
-        _draw_short_streams(words, np.asarray(widths), out)
+    widths = np.asarray(widths)
+    a_hi, a_lo, inc_hi, inc_lo = _seed_words(_stream_words(seed, keys))
+    if widths.max() <= _SHORT_STREAM_DRAWS:
+        stream = np.repeat(np.arange(widths.size), widths)
+        jump = np.arange(1, stream.size + 1) - np.repeat(np.cumsum(widths) - widths, widths)
+        for first in range(0, stream.size, _SHORT_CHUNK_CELLS):
+            cells = slice(first, first + _SHORT_CHUNK_CELLS)
+            s = stream[cells]
+            hi, lo = _pcg_states(a_hi[s], a_lo[s], inc_hi[s], inc_lo[s], jump[cells])
+            draw = hi ^ lo
+            rot = hi >> _U58
+            draw = draw >> rot | draw << ((_U64 - rot) & _U63)
+            np.multiply(draw >> _U11, 2.0 ** -53, out=out[cells])
         return
-    a_hi, a_lo, inc_hi, inc_lo = _seed_words(words)
     state_hi, state_lo = _pcg_states(a_hi, a_lo, inc_hi, inc_lo, slice(0, 1))
     gen = np.random.Generator(np.random.PCG64(0))
     bitgen = gen.bit_generator
@@ -517,7 +496,7 @@ def _draw_streams(seed: int, keys: np.ndarray, widths: list[int], out: np.ndarra
     state = {"bit_generator": "PCG64", "state": inner, "has_uint32": 0, "uinteger": 0}
     first = 0
     for s_hi, s_lo, i_hi, i_lo, width in zip(state_hi.tolist(), state_lo.tolist(),
-                                             inc_hi.tolist(), inc_lo.tolist(), widths):
+                                             inc_hi.tolist(), inc_lo.tolist(), widths.tolist()):
         inner["state"] = s_hi << 64 | s_lo
         inner["inc"] = i_hi << 64 | i_lo
         bitgen.state = state
@@ -641,16 +620,17 @@ def _rollout_costs(cum_cols: np.ndarray, cum_x0: np.ndarray, c: np.ndarray,
     copy r takes draws r(t_i+1) .. r(t_i+1)+t_i, the first picking the start
     state from x0 and each later one a step. A block's streams are seeded at
     once from the pool of one `SeedSequence(seed)` (`_stream_words`), so no
-    per-sample SeedSequence is built. `_draw_streams` then computes every
-    draw as arrays if no stream of the block is longer than 32 draws, and
-    otherwise computes every stream's PCG64 start state at once in uint64
-    word arithmetic, builds one generator for the block and draws each stream
-    through it. All walkers of a block step together, longest first so the
-    walkers still moving form a prefix. Each step looks its draw up in the
-    band tables of the step matrix (`_band_table`, built once per call; x0's
-    law is a one-column table), and a walker's state is kept as its column's
-    offset in those tables. The states, and hence the costs, are bit-identical to drawing
-    and stepping one copy at a time with a fresh generator per sample.
+    per-sample SeedSequence is built. `_draw_streams` then computes the
+    block's draws as one flat run of (stream, jump) cells if no stream of the
+    block is longer than 32 draws, and otherwise computes every stream's
+    PCG64 start state at once in uint64 word arithmetic, builds one generator
+    for the block and draws each stream through it. All walkers of a block
+    step together, longest first so the walkers still moving form a prefix.
+    Each step looks its draw up in the band tables of the step matrix
+    (`_band_table`, built once per call; x0's law is a one-column table), and
+    a walker's state is kept as its column's offset in those tables. The
+    states, and hence the costs, are bit-identical to drawing and stepping
+    one copy at a time with a fresh generator per sample.
 
     With digits = N > 1 the tables describe one person and a walker is N
     persons, its cost the sum of theirs. Each draw is decoded digit by digit
@@ -671,7 +651,7 @@ def _rollout_costs(cum_cols: np.ndarray, cum_x0: np.ndarray, c: np.ndarray,
         widths = copies * (t + 1)
         starts = np.cumsum(widths) - widths
         u = np.empty(int(widths.sum()))
-        _draw_streams(seed, ids, widths.tolist(), u)
+        _draw_streams(seed, ids, widths, u)
         # walker a * copies + r is copy r of sample ids[a]; at[d] is person d's
         # state j as its column's offset j * step_table.slots
         base = (starts[:, None] + np.arange(copies) * (t + 1)[:, None]).ravel()
@@ -704,14 +684,15 @@ def compare_report(m, x0, c, samples, xi: float, seed: int, *,
     exceeds each estimate. The rollouts run batched over blocks of samples,
     with each sample's substream pre-drawn from a start state computed for
     the whole block, in uint64 word arithmetic, from the pool of one numpy
-    `SeedSequence(seed)`: as arrays from the PCG64 recurrence when no stream
-    of the block is longer than 32 draws, else through one generator the
-    block builds. Each step reads its next state off per-column band tables
-    built once per call, by a search over the widest support band. The
-    percentages are bit-identical to sequential per-sample draws from fresh
-    generators. The matrix need only be column-stochastic. The seed must be a non-negative
-    integer, and the samples, support_max, copies and population integers: a
-    float among them raises ValueError before any work is done.
+    `SeedSequence(seed)`: as one flat run of draws from the PCG64 recurrence
+    when no stream of the block is longer than 32 draws, else through one
+    generator the block builds. Each step reads its next state off per-column
+    band tables built once per call, by a search over the widest support
+    band. The percentages are bit-identical to sequential per-sample draws
+    from fresh generators. The matrix need only be column-stochastic. The seed
+    must be a non-negative integer, and the samples, support_max, copies and
+    population integers: a float among them raises ValueError before any work
+    is done.
 
     With population = N > 1, (m, x0, c) describe one person and each replica
     is N independent, identical persons, costing the sum of their costs. The

@@ -615,6 +615,21 @@ def test_drce_geom_rejects_nonfinite_radius_and_eps(tmp_path, capsys):
         assert code == 2 and out == "" and name in err, (radius, eps, err)
 
 
+def test_drce_geom_names_a_ball_below_the_rate_floor(tmp_path, capsys):
+    # {1e-13} is a ball, but every rate in it lies below the smallest rate
+    # supported; the same ball at 1e-11 answers
+    model = write_json(tmp_path / "scalar.json", SCALAR_GAS)
+    code, out, err = run_cli(capsys, "drce-geom", "--model", model,
+                             "--rho", "1e-13", "--radius", "0")
+    assert (code, out) == (2, "")
+    assert err == ("error: every rate within radius 0.0 of rho_hat = 1e-13 lies below "
+                   "1e-12, the smallest rate supported\n")
+    code, out, err = run_cli(capsys, "drce-geom", "--model", model,
+                             "--rho", "1e-11", "--radius", "0")
+    assert code == 0, err
+    assert out.split("\n")[1].split(",")[0] == "1e-11"
+
+
 def test_drce_geom_exits_1_when_the_interpolant_needs_more_nodes(tmp_path, capsys, monkeypatch):
     model, _ = _lazy_cycle_files(tmp_path)
     argv = ("drce-geom", "--model", model, "--rho", "0.5", "--radius", "2")
@@ -802,6 +817,29 @@ def test_scenario_csoc_row_over_several_rollout_blocks_is_pinned(capsys, monkeyp
     assert out == (ComparisonReport.CSV_HEADER + "\n"
                    + "0.564478072867,0.624694633666,47.6,35.8,61,4,1\n")
     assert len(blocks) == 4
+
+
+# sir and svir at 2000 samples: one rollout block of ~18k draws of at most 16
+# per stream, so three chunks of short-stream cells. Printed before the short
+# streams were drawn as one flat run of cells.
+EPIDEMIC_2000_SAMPLE_ROWS = {
+    "sir": "0.7497612,3.1098881197,60.1,2.2,8,4,1",
+    "svir": "0.6894468,1.35031103412,56.25,17.1,8,4,1",
+}
+
+
+@pytest.mark.parametrize("name", sorted(EPIDEMIC_2000_SAMPLE_ROWS))
+def test_epidemic_rows_over_several_short_stream_chunks_are_pinned(name, capsys, monkeypatch):
+    draws = []
+    monkeypatch.setattr(scenarios, "_draw_streams",
+                        lambda *args, _draw=scenarios._draw_streams: draws.append(sum(args[2])) or
+                        _draw(*args))
+    code, out, err = run_cli(capsys, "scenario", name,
+                             "--samples", "2000", "--xi", "4", "--seed", "1")
+    assert code == 0, err
+    assert out == ComparisonReport.CSV_HEADER + "\n" + EPIDEMIC_2000_SAMPLE_ROWS[name] + "\n"
+    assert len(draws) == 1
+    assert 2 * scenarios._SHORT_CHUNK_CELLS < draws[0] <= 3 * scenarios._SHORT_CHUNK_CELLS
 
 
 # Seeds of two and five uint32 words, printed before the per-sample

@@ -831,6 +831,24 @@ def test_geometric_drce_exact_finds_the_interior_maximum_the_search_misses():
     assert value - 0.704345566994 > 3e-7
 
 
+def test_a_ball_below_the_rate_floor_is_not_called_empty():
+    """A ball of rates wholly below 1e-12, the smallest rate supported, is
+    refused by both solvers with a message naming rho_hat and the radius;
+    a ball reaching the floor answers."""
+    one = ([[0.5]], [1.0], [1.0])
+    s = decompose(np.array(one[0]), one[1], one[2])
+    for solve in (lambda rho_hat, xi: geometric_drce_exact(*one, rho_hat, xi, 1e-9),
+                  lambda rho_hat, xi: geometric_drce(s, rho_hat, xi, 1e-9)):
+        for rho_hat, xi in ((1e-13, 0.0), (1e-14, 1.0)):
+            with pytest.raises(ValueError) as err:
+                solve(rho_hat, xi)
+            assert str(err.value) == (f"every rate within radius {xi!r} of rho_hat = "
+                                      f"{rho_hat!r} lies below 1e-12, the smallest rate "
+                                      "supported")
+        assert solve(1e-11, 0.0)[0] == 1e-11
+        assert solve(1e-13, 1e13)[0] >= 1e-12
+
+
 def test_geometric_drce_exact_validation(monkeypatch):
     one = ([[0.5]], [1.0], [1.0])
     with pytest.raises(ValueError, match="eps"):

@@ -522,6 +522,36 @@ def test_draw_streams_equal_numpy_seeded_generators(seed, monkeypatch):
             first += width
 
 
+@pytest.mark.parametrize("seed", _WORD_BOUNDARY_SEEDS[::4])
+def test_short_streams_equal_numpy_generators_across_chunk_edges(seed, monkeypatch):
+    """A block of short streams is one flat run of (stream, jump) cells,
+    drawn _SHORT_CHUNK_CELLS at a time without a generator: each stream
+    equals numpy's wherever the chunk edges fall."""
+    make = np.random.Generator
+
+    def refuse(*_):
+        raise AssertionError("np.random.Generator built for short streams")
+    monkeypatch.setattr(np.random, "Generator", refuse)
+    assert (scenarios._SHORT_STREAM_DRAWS, scenarios._SHORT_CHUNK_CELLS) == (32, 8192)
+    blocks = [
+        [31] * 300,             # the edge at 8,192 falls inside stream 264
+        [32] * 256,             # exactly one chunk
+        [32] * 256 + [1],       # one chunk, then a 1-draw stream alone in the next
+        [1] * 300,              # every stream one draw
+        [16] * 8192,            # the largest sir block: 16 chunks
+    ]
+    for widths in blocks:
+        keys = np.random.default_rng(len(widths)).permutation(len(widths))
+        u = np.empty(sum(widths))
+        scenarios._draw_streams(seed, keys, widths, u)
+        first = 0
+        for key, width in zip(keys.tolist(), widths):
+            want = make(np.random.PCG64(
+                np.random.SeedSequence(entropy=seed, spawn_key=(key,)))).random(width)
+            assert np.array_equal(u[first:first + width], want), f"key {key}, width {width}"
+            first += width
+
+
 def _carry_rows():
     """Word rows (w0, w1, w2, w3) whose start state takes each carry of the
     uint64 word arithmetic: every row of 0 and 2**64 - 1, rows where
