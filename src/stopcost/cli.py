@@ -2,16 +2,14 @@
 
 Subcommands wrap the library: `convert` rewrites a Markov model file in
 mean-shifted coordinates, `rce`/`drce` run the finite-horizon estimators,
-`rce-inf` and `drce-geom` the unbounded-horizon ones, `scenario` reproduces
-the packaged queue/epidemic studies, and `bench` times the two cost-sequence
-algorithms and the two powering representations. `rce`/`drce` take any
-column-stochastic Markov matrix and run `cost_sequence_strided` (bench's sabs
-column), the recurrence below horizon max(4, n). The unbounded-horizon ones
-run no eigensolver: stability is certified by squaring the stable matrix
-once (`stable_squares`), `rce-inf` scans with those squares to a certified
-tail bound, and `drce-geom` maximizes the exact resolvent form of the
-geometric objective (`geometric_drce_exact`), reporting the Chebyshev tail
-estimate of its interpolant in the third column.
+`rce-inf` and `drce-geom` the unbounded-horizon ones, and `scenario` reproduces
+the packaged queue/epidemic studies. `rce`/`drce` take any column-stochastic
+Markov matrix and run `cost_sequence_strided`, the recurrence below horizon
+max(4, n). The unbounded-horizon ones run no eigensolver: stability is
+certified by squaring the stable matrix once (`stable_squares`), `rce-inf`
+scans with those squares to a certified tail bound, and `drce-geom` maximizes
+the exact resolvent form of the geometric objective (`geometric_drce_exact`),
+reporting the Chebyshev tail estimate of its interpolant in the third column.
 
 Model files are JSON with fields kind ("markov" or "gas"), an integer n,
 matrix (row-major), optional cost/x0 vectors, an optional finite cost_offset,
@@ -47,16 +45,15 @@ import functools
 import json
 import math
 import sys
-import time
 from typing import NamedTuple
 
 import numpy as np
 
 from .config import DEFAULT_TOLS
-from .finite_horizon import CostSequence, cost_sequence_naive, cost_sequence_strided, rce_finite
+from .finite_horizon import CostSequence, cost_sequence_strided, rce_finite
 from .infinite_horizon import geometric_drce_exact, rce_infinite
 from .markov_gas import MarkovChain, _validate_transition, project_state, to_gas, transfer_cost
-from .matrix_core import StableSquares, mat_pow, stable_squares
+from .matrix_core import StableSquares, stable_squares
 from .scenarios import CsocParams, HealthParams, build_csoc_overtime, \
     compare_report, health_person, sample_horizons
 from .wasserstein import AmbiguitySet, drce_finite
@@ -351,48 +348,6 @@ def cmd_scenario(args) -> str:
     return report.CSV_HEADER + "\n" + report.csv_row() + "\n"
 
 
-def _bench_chain(n: int, rng: np.random.Generator) -> np.ndarray:
-    raw = rng.random((n, n)) + 0.05
-    return raw / raw.sum(axis=0)
-
-
-def cmd_bench(args) -> str:
-    try:
-        sizes = [int(tok) for tok in args.sizes.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ValueError(f"--sizes must be comma-separated integers: {exc}") from None
-    if not sizes or any(n < 2 for n in sizes):
-        raise ValueError("--sizes needs integers >= 2")
-    if args.horizon < 4:
-        raise ValueError("--horizon must be >= 4")
-    rng = np.random.default_rng(20240817)
-    lines = ["n,horizon,naive_seconds,sabs_seconds,markov_pow_seconds,gas_pow_seconds"]
-    for n in sizes:
-        transition = _bench_chain(n, rng)
-        gas = to_gas(MarkovChain.from_transition(transition))
-        x0 = np.zeros(n)
-        x0[0] = 1.0
-        cost = rng.random(n)
-        shifted_cost, _ = transfer_cost(gas, cost)
-        v0 = project_state(gas, x0)
-
-        start = time.perf_counter()
-        cost_sequence_naive(gas.m_bar, v0, shifted_cost, args.horizon)
-        naive_s = time.perf_counter() - start
-        start = time.perf_counter()
-        cost_sequence_strided(gas.m_bar, v0, shifted_cost, args.horizon)
-        sabs_s = time.perf_counter() - start
-        start = time.perf_counter()
-        mat_pow(transition.T, args.horizon)
-        markov_s = time.perf_counter() - start
-        start = time.perf_counter()
-        mat_pow(gas.m_bar.T, args.horizon)
-        gas_s = time.perf_counter() - start
-        lines.append(f"{n},{args.horizon},{_fmt(naive_s)},{_fmt(sabs_s)},"
-                     f"{_fmt(markov_s)},{_fmt(gas_s)}")
-    return "\n".join(lines) + "\n"
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stopcost",
@@ -400,6 +355,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     model_help = ("gas or markov model JSON; a markov matrix may be any column-stochastic one "
                   "(costs by cost_sequence_strided: the recurrence below horizon max(4, n))")
+    unbounded_model_help = ("gas or markov model JSON; a markov chain needs a unique stationary "
+                            "law and no other eigenvalue of modulus 1, or the command exits 2 "
+                            "(\"not ergodic enough\")")
 
     convert = sub.add_parser("convert", help="rewrite a Markov model in mean-shifted coordinates")
     convert.add_argument("--model", required=True, help="input markov model JSON")
@@ -420,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     drce.set_defaults(run=cmd_drce)
 
     rce_inf = sub.add_parser("rce-inf", help="supremum cost over an unbounded horizon")
-    rce_inf.add_argument("--model", required=True)
+    rce_inf.add_argument("--model", required=True, help=unbounded_model_help)
     rce_inf.add_argument("--out")
     rce_inf.set_defaults(run=cmd_rce_inf)
 
@@ -429,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Worst Geom(rho) stopping law with |1/rho - 1/rho_hat| <= radius. Prints "
                     "rho_star, the value and, in the truncation_bound column, the Chebyshev "
                     "tail estimate of the interpolated objective (its interpolation error).")
-    geom.add_argument("--model", required=True)
+    geom.add_argument("--model", required=True, help=unbounded_model_help)
     geom.add_argument("--rho", type=float, required=True, help="nominal success rate")
     geom.add_argument("--radius", type=float, required=True)
     geom.add_argument("--eps", type=float, default=1e-9,
@@ -445,13 +403,6 @@ def build_parser() -> argparse.ArgumentParser:
     scenario.add_argument("--xi", type=float, default=0.0)
     scenario.add_argument("--out")
     scenario.set_defaults(run=cmd_scenario)
-
-    bench = sub.add_parser("bench", help="time the cost-sequence algorithms and powering forms; "
-                                         "sabs is cost_sequence_strided, naive below horizon n")
-    bench.add_argument("--sizes", default="16,32,64", help="comma-separated state counts")
-    bench.add_argument("--horizon", type=int, default=1024)
-    bench.add_argument("--out")
-    bench.set_defaults(run=cmd_bench)
     return parser
 
 

@@ -583,6 +583,11 @@ def _cumulative_columns(a: np.ndarray) -> np.ndarray:
 
     The rows are added in order, as np.cumsum(np.clip(a, 0, None), axis=0)
     adds them, so the table is bit-identical without its two n x n temporaries.
+    The loop stays because that one call accumulates down strided columns: on
+    a 2-vCPU host with one BLAS thread, medians of interleaved calls (three
+    runs) gave 18.8-19.4 ms for it against 5.4-5.8 ms for the loop on the
+    1024-state svir chain, though 0.055-0.059 ms against 0.19-0.20 ms on the
+    101-state csoc chain.
     """
     cum = np.maximum(a, 0.0)
     for i in range(1, cum.shape[0]):

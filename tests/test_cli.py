@@ -762,7 +762,7 @@ def test_drce_geom_answers_packaged_models(label, tmp_path, capsys):
     assert float(value) == pytest.approx(grid[-1], abs=1e-12 * scale)
 
 
-# ----------------------------------------------------- scenarios and bench ---
+# --------------------------------------------------------------- scenarios ---
 
 def test_scenario_sir_output(tmp_path, capsys):
     code, out, err = run_cli(capsys, "scenario", "sir",
@@ -918,7 +918,6 @@ def test_drce_and_scenario_do_not_import_the_lp_solver(tmp_path):
         "for argv in (['rce', '--horizon', '5'], ['rce-inf'], ['convert'],\n"
         "             ['drce-geom', '--rho', '0.5', '--radius', '0.5']):\n"
         f"    assert main(argv + ['--model', {chain!r}]) == 0, argv\n"
-        "assert main(['bench', '--sizes', '4', '--horizon', '8']) == 0\n"
         "import numpy as np\n"
         "from stopcost import AmbiguitySet, CostSequence, GroundDistance, drce_finite\n"
         "d = GroundDistance.explicit([[0, 1, 2], [1, 0, 1], [2, 1, 0]])\n"
@@ -966,24 +965,6 @@ def test_cli_import_leaves_single_use_modules_to_first_use():
                                             "lp_solver", "markov_gas", "matrix_core",
                                             "scenarios", "wasserstein", "cli")}
     assert own <= set(extra), own - set(extra)
-
-
-def test_bench_output_parses(tmp_path, capsys):
-    code, out, _ = run_cli(capsys, "bench", "--sizes", "4,8", "--horizon", "64")
-    assert code == 0
-    lines = out.strip().split("\n")
-    assert lines[0] == ("n,horizon,naive_seconds,sabs_seconds,"
-                        "markov_pow_seconds,gas_pow_seconds")
-    assert len(lines) == 3
-    for line in lines[1:]:
-        n, horizon, *timings = line.split(",")
-        assert int(horizon) == 64
-        assert all(float(tok) > 0.0 for tok in timings)
-
-
-def test_bench_rejects_bad_sizes(capsys):
-    assert run_cli(capsys, "bench", "--sizes", "4,two")[0] == 2
-    assert run_cli(capsys, "bench", "--sizes", "1,4")[0] == 2
 
 
 # ------------------------------------------------------------ output paths ---
@@ -1130,3 +1111,23 @@ def test_main_builds_no_parser_after_the_first_call(tmp_path, capsys, monkeypatc
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     assert [main(argv) for argv in calls] == [0] * len(calls)
     assert built == []
+
+
+def test_every_subcommand_answers_a_question(capsys):
+    # every subcommand prints an answer; `bench`, which printed only timings, is not one
+    with pytest.raises(SystemExit) as exc:
+        main(["bench"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bench'" in capsys.readouterr().err
+    assert "{convert,rce,drce,rce-inf,drce-geom,scenario}" in build_parser().format_help()
+
+
+def test_unbounded_model_help_names_the_ergodicity_exit(capsys):
+    for command in ("rce-inf", "drce-geom"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "--model MODEL gas or markov model JSON; a markov chain needs a unique " \
+               "stationary law" in help_text, command
+        assert 'exits 2 ("not ergodic enough")' in help_text, command
