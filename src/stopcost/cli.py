@@ -137,9 +137,9 @@ def load_nominal(path: str) -> np.ndarray:
     csv reader skips that row, so it is no header), is parsed by
     `csv.reader`, the only use of `csv`; a `csv.Error` there (a field past
     the reader's size limit) is invalid input, a ValueError naming the file.
-    The bulk pass keeps no line numbers,
-    so a file whose rows fail a check there is walked again, row by row, to
-    name the first bad row and its line (`_first_bad_row`)."""
+    That one pass keeps each row's line number, so when its columns fail a
+    check, the same rows are walked again to name the first bad row and its
+    line (`_first_bad_row`)."""
     with open(path, newline="") as fh:
         try:
             text = fh.read()
@@ -152,16 +152,15 @@ def load_nominal(path: str) -> np.ndarray:
         import csv
         import io
 
+        reader = csv.reader(io.StringIO(text, newline=""))
         try:
-            rows = [row for row in csv.reader(io.StringIO(text, newline=""))
-                    if row and row[0].strip()]
+            rows = [(reader.line_num, row) for row in reader if row and row[0].strip()]
         except csv.Error as exc:            # e.g. a field past csv.field_size_limit()
             raise ValueError(f"{path}: {exc}") from None
-        checked = _checked_columns([row[0] for row in rows],
-                                   [row[1] if len(row) > 1 else "" for row in rows])
+        checked = _checked_columns([row[0] for _, row in rows],
+                                   [row[1] if len(row) > 1 else "" for _, row in rows])
         if not checked:
-            reader = csv.reader(io.StringIO(text, newline=""))
-            raise _first_bad_row(path, ((reader.line_num, row) for row in reader))
+            raise _first_bad_row(path, rows)
     ts, probs = checked
     horizon = max(ts)
     try:
@@ -322,8 +321,7 @@ def cmd_rce_inf(args) -> str:
 
 def cmd_drce_geom(args) -> str:
     squares, cost, x0, offset = _to_shifted(load_model(args.model))
-    rho_star, value, tail = geometric_drce_exact(squares.matrix, cost, x0, args.rho, args.radius,
-                                                 args.eps)
+    rho_star, value, tail = geometric_drce_exact(squares, cost, x0, args.rho, args.radius, args.eps)
     return ("rho_star,value,truncation_bound\n"
             f"{_fmt(rho_star)},{_fmt(value + offset)},{_fmt(tail)}\n")
 

@@ -21,7 +21,7 @@ from collections import namedtuple
 
 import numpy as np
 
-from .matrix_core import as_matrix, as_vector, mat_pow
+from .matrix_core import as_system, mat_pow
 
 
 class CostSequence(namedtuple("CostSequence", "horizon values")):
@@ -45,13 +45,7 @@ class CostSequence(namedtuple("CostSequence", "horizon values")):
 
 
 def _check(m, x0, c, horizon):
-    a = as_matrix(m)
-    x = as_vector(x0)
-    cv = as_vector(c)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError("system matrix must be square")
-    if x.shape[0] != a.shape[0] or cv.shape[0] != a.shape[0]:
-        raise ValueError("dimension mismatch between matrix, state, and cost")
+    a, x, cv = as_system(m, x0, c)
     if not isinstance(horizon, (int, np.integer)) or horizon < 1:
         raise ValueError(f"horizon must be a positive integer, got {horizon!r}")
     return a, x, cv

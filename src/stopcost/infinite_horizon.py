@@ -33,8 +33,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import DEFAULT_TOLS
-from .matrix_core import SQUARES_KEPT, StableSquares, as_matrix, as_vector, certify_stable, \
-    real_jordan, stable_squares
+from .matrix_core import SQUARES_KEPT, StableSquares, as_matrix, as_system, real_jordan, \
+    stable_squares
 
 
 class ComplexTerm(NamedTuple):
@@ -105,22 +105,23 @@ def _rationalize(theta: float) -> tuple[int, int] | None:
     return None
 
 
-def _system(m, c, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Coerce (M, c, x0) to arrays and check that their dimensions agree."""
-    a, cv, xv = as_matrix(m), as_vector(c), as_vector(x)
-    if a.shape[0] != a.shape[1] or cv.shape[0] != a.shape[0] or xv.shape[0] != a.shape[0]:
-        raise ValueError("dimension mismatch between matrix, cost, and state")
-    return a, cv, xv
+def _certified(m, c, x) -> tuple[StableSquares, np.ndarray, np.ndarray, np.ndarray]:
+    """(squares, M, c, x0) of a system (`as_system`) whose m is a matrix, certified
+    here by `stable_squares`, or the `StableSquares` of one."""
+    if isinstance(m, StableSquares):
+        a, xv, cv = as_system(m.matrix, x, c)
+        return m, a, cv, xv
+    a, xv, cv = as_system(m, x, c)
+    return stable_squares(a), a, cv, xv
 
 
 def decompose(m, c, x) -> OscillatorySum:
     """Expand <c, M^t x> into damped oscillations via the real Jordan form.
 
-    rho(M) < 1 is certified by squaring M (`certify_stable`) before the one
-    eigensolve inside `real_jordan`.
+    m is a matrix, or the `StableSquares` of one; rho(M) < 1 is certified by
+    squaring M (`stable_squares`) before the one eigensolve inside `real_jordan`.
     """
-    a, cv, xv = _system(m, c, x)
-    certify_stable(a)
+    a, cv, xv = _certified(m, c, x)[1:]  # the squares are not kept
     form = real_jordan(a)
     sigma = form.p_matrix.T @ cv
     tau = form.p_inverse @ xv
@@ -374,11 +375,7 @@ def rce_infinite(m, c, x) -> RceInfResult:
     result is "supremum-at-infinity". The block grows, taking further squares,
     until its estimated norm is at most 1/2 or it holds _BLOCK rows.
     """
-    if isinstance(m, StableSquares):
-        squares, (a, cv, xv) = m, _system(m.matrix, c, x)
-    else:
-        a, cv, xv = _system(m, c, x)
-        squares = stable_squares(a)
+    squares, a, cv, xv = _certified(m, c, x)
     j = next(i for i, norm in enumerate(squares.norms) if norm < 1.0)
     if j > 24:                               # k = 2^j: give up
         raise ValueError(f"spectral radius must be strictly below 1 (|M^k|_inf >= 1, k <= {2 ** 24})")
@@ -619,7 +616,7 @@ def geometric_drce_exact(m, c, x, rho_hat: float, xi: float,
     """Worst geometric stopping law within Wasserstein radius xi of Geom(rho_hat),
     by the exact resolvent: a global maximum with no truncation and no eigensolver.
 
-    M must have spectral radius below 1 (`certify_stable`; the CLI certifies it).
+    m is a matrix, certified as in `rce_infinite`, or the `StableSquares` of one.
     The objective sum_t rho (1-rho)^{t-1} <c, M^t x> is the generating function
     of the cost at 1 - rho, F(rho) = rho c^T M (I - (1-rho) M)^{-1} x, evaluated
     by one direct solve per rho and maximized by `_maximize_on_rates`. For a
@@ -632,7 +629,7 @@ def geometric_drce_exact(m, c, x, rho_hat: float, xi: float,
     if eps < _ROUNDING:
         raise ValueError(f"eps must be at least {_ROUNDING:.3g}, the rounding level of "
                          f"the interpolated values, got {eps!r}")
-    a, cv, xv = _system(m, c, x)
+    a, cv, xv = _certified(m, c, x)[1:]  # the squares are not kept
     mx = a @ xv
 
     def objective(rho: float) -> float:

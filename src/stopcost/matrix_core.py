@@ -35,6 +35,16 @@ def as_vector(v) -> np.ndarray:
     return a
 
 
+def as_system(m, x0, c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coerce a system (M, x0, c) to a square matrix and two vectors of its size."""
+    a, x, cv = as_matrix(m), as_vector(x0), as_vector(c)
+    if a.shape[0] != a.shape[1]:
+        raise ValueError("system matrix must be square")
+    if x.shape[0] != a.shape[0] or cv.shape[0] != a.shape[0]:
+        raise ValueError("dimension mismatch between matrix, state, and cost")
+    return a, x, cv
+
+
 def _square(m) -> np.ndarray:
     a = as_matrix(m)
     if a.shape[0] != a.shape[1]:
@@ -168,12 +178,6 @@ def stable_squares(m) -> StableSquares:
         powers.append(power)
     norms.append(norm)
     return StableSquares(tuple(powers), tuple(norms))
-
-
-def certify_stable(m) -> int:
-    """Least k = 2^j with |M^k|_inf <= 1/2, a certificate that rho(M) < 1
-    (`stable_squares`, whose rule, cap and messages it applies)."""
-    return stable_squares(m).k
 
 
 def spectral_radius(m) -> float:

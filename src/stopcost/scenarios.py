@@ -66,7 +66,7 @@ import numpy as np
 from .config import DEFAULT_TOLS
 from .finite_horizon import CostSequence, cost_sequence_strided
 from .markov_gas import _validate_transition
-from .matrix_core import as_vector, mat_pow
+from .matrix_core import as_system, mat_pow
 from .wasserstein import AmbiguitySet, drce_finite
 
 
@@ -707,12 +707,7 @@ def compare_report(m, x0, c, samples, xi: float, seed: int, *,
     draw lies within about k^N ulps of a block boundary, and the 53 bits of
     that draw limit N to a few dozen (see the module docstring).
     """
-    a = _validate_transition(m)
-    x = as_vector(x0)
-    cv = as_vector(c)
-    n = a.shape[0]
-    if x.shape[0] != n or cv.shape[0] != n:
-        raise ValueError("dimension mismatch between matrix, state, and cost")
+    a, x, cv = as_system(_validate_transition(m), x0, c)
     if np.any(x < -DEFAULT_TOLS.entry_clamp) or abs(x.sum() - 1.0) > DEFAULT_TOLS.column_sum:
         raise ValueError("x0 must be a probability distribution for rollouts")
     ts = np.asarray(samples)

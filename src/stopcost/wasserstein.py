@@ -24,7 +24,7 @@ import numpy as np
 from .config import DEFAULT_TOLS
 from .finite_horizon import CostSequence, cost_sequence_strided
 from .lp_solver import LinearProgram, lp_solve
-from .matrix_core import as_matrix, as_vector
+from .matrix_core import as_matrix, as_system, as_vector
 
 
 class GroundDistance(namedtuple("GroundDistance", "kind matrix")):
@@ -111,9 +111,14 @@ class DrceSolution(NamedTuple):
 def w_norm(mu, distance: GroundDistance = GroundDistance.line()) -> float:
     """Dual norm of a balanced vector: |partial sums|_1 on the line, else an LP."""
     v = as_vector(mu)
-    t = v.shape[0]
     if abs(v.sum()) > DEFAULT_TOLS.balance:
         raise ValueError("w_norm requires entries summing to zero")
+    return _dual_norm(v, distance)
+
+
+def _dual_norm(v: np.ndarray, distance: GroundDistance) -> float:
+    """`w_norm` of a vector whose balance the caller has checked."""
+    t = v.shape[0]
     if t == 1:
         return 0.0
     if distance.kind == "line":
@@ -141,7 +146,8 @@ def w1_distance(p, q, distance: GroundDistance = GroundDistance.line()) -> float
         if abs(v.sum() - 1.0) > DEFAULT_TOLS.balance or \
                 v.min(initial=0.0) < -DEFAULT_TOLS.entry_clamp:
             raise ValueError(f"{name} argument is not a probability distribution")
-    return w_norm(pv - qv, distance)
+    # each law is within balance of 1, so their difference is within 2 * balance of 0
+    return _dual_norm(pv - qv, distance)
 
 
 def unit_ball_vertices(t: int) -> list[np.ndarray]:
@@ -285,9 +291,7 @@ def drce_with_initial_uncertainty(m, x_hat0, vertices, c, amb: AmbiguitySet) -> 
     set; the inner worst-case cost is evaluated at each x_hat0 + u_i and the
     largest one wins (earliest index on ties). Returns (value, winning index).
     """
-    a = as_matrix(m)
-    x_hat = as_vector(x_hat0)
-    cv = as_vector(c)
+    a, x_hat, cv = as_system(m, x_hat0, c)
     if len(vertices) == 0:
         raise ValueError("need at least one uncertainty vertex")
     horizon = amb.nominal.shape[0]

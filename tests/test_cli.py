@@ -172,8 +172,7 @@ def test_finite_horizon_commands_answer_chains_without_a_stationary_law(
     def forbidden(*args, **kwargs):
         raise AssertionError("a finite-horizon op reached the stationary law")
 
-    # the one squaring loop, wherever cli and markov_gas look it up; certify_stable
-    # reaches it through matrix_core
+    # the one squaring loop, wherever cli, markov_gas and matrix_core look it up
     monkeypatch.setattr(cli, "MarkovChain", forbidden)
     monkeypatch.setattr(cli, "stable_squares", forbidden)
     monkeypatch.setattr(markov_gas, "_stationary", forbidden)
@@ -186,6 +185,19 @@ def test_finite_horizon_commands_answer_chains_without_a_stationary_law(
         (0, "t_star,value\n2,1\n", "")
     assert run_cli(capsys, "drce", "--model", cycle, "--nominal", str(nominal),
                    "--radius", "0.5") == (0, "value,case_used\n0.8,lp\n", "")
+
+
+@pytest.mark.parametrize("payload, message", [
+    ([1, 2], "model file must be a JSON object"),
+    ({"kind": "chain", "n": 1, "matrix": [0.5]}, "kind must be 'markov' or 'gas', got 'chain'"),
+    ({"kind": "gas", "matrix": [0.5], "cost": [1.0], "x0": [1.0]},
+     "model file needs 'n' and 'matrix' fields"),
+    ({"kind": "gas", "n": 2, "matrix": [0.5, 0.0, 0.5]}, "matrix has 3 entries, expected 4"),
+])
+def test_load_model_rejections_name_the_file(tmp_path, capsys, payload, message):
+    model = write_json(tmp_path / "model.json", payload)
+    assert run_cli(capsys, "rce", "--model", model, "--horizon", "3") == \
+        (2, "", f"error: {model}: {message}\n")
 
 
 def test_rce_rejects_bad_horizon(tmp_path, capsys):
@@ -524,7 +536,7 @@ def test_rce_inf_on_a_markov_file_squares_once(tmp_path, capsys, monkeypatch):
                                                   "cost": c.tolist(), "x0": x0.tolist()})
     expected = run_cli(capsys, "rce-inf", "--model", model)
     a_op, b_op = markov_gas.build_ab(64)
-    k = matrix_core.certify_stable(a_op @ markov_gas._validate_transition(m) @ b_op)
+    k = matrix_core.stable_squares(a_op @ markov_gas._validate_transition(m) @ b_op).k
     assert k == 256
     calls = {"build_ab": 0, "abs": 0}
     build_ab, np_abs = markov_gas.build_ab, np.abs

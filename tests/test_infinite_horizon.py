@@ -25,6 +25,7 @@ from stopcost.infinite_horizon import (
     rce_infinite_2d,
     RceInfResult,
 )
+from stopcost.finite_horizon import cost_sequence_strided
 from stopcost.markov_gas import MarkovChain, project_state, to_gas, transfer_cost
 from stopcost.matrix_core import mat_pow, stable_squares
 
@@ -875,6 +876,34 @@ def test_geometric_drce_exact_validation(monkeypatch):
     monkeypatch.setattr(infinite_horizon, "_CHEB_MAX_DEGREE", 16)
     with pytest.raises(RuntimeError, match="Chebyshev tail .* at degree 16"):
         geometric_drce_exact(*system, 0.5, 2.0, 1e-9)
+
+
+def test_both_unbounded_solvers_take_a_matrix_or_its_squares():
+    """rce_infinite and geometric_drce_exact certify a bare matrix, and answer on it
+    exactly as on its `stable_squares`; the finite-horizon evaluator and both
+    solvers refuse an ill-shaped system with `as_system`'s two messages."""
+    with pytest.raises(ValueError, match="spectral radius must be strictly below 1"):
+        geometric_drce_exact([[5.0]], [1.0], [1.0], 0.5, 0.5, 1e-9)
+    rng = np.random.default_rng(389)
+    systems = [(DIAG, ONES, ONES), (ROT90, E1, E1), (np.array([[0.9]]), [-1.0], [1.0]),
+               (np.array([[0.5, 1.0], [0.0, 0.5]]), E1, [0.0, 1.0]), cycle_system(32, 37)]
+    systems += [(random_stable(rng, n, rho_max=0.999), rng.standard_normal(n),
+                 rng.standard_normal(n)) for n in (1, 4, 9)]
+    for m, c, x in systems:
+        squares = stable_squares(m)
+        assert rce_infinite(squares, c, x) == rce_infinite(m, c, x)
+        for rho_hat, xi in ((0.02, 5.0), (0.5, 0.2)):
+            assert geometric_drce_exact(squares, c, x, rho_hat, xi, 1e-9) == \
+                geometric_drce_exact(m, c, x, rho_hat, xi, 1e-9)
+    solvers = (lambda m, c, x: cost_sequence_strided(m, x, c, 8), rce_infinite,
+               lambda m, c, x: geometric_drce_exact(m, c, x, 0.5, 0.5, 1e-9))
+    for solve in solvers:
+        with pytest.raises(ValueError, match="^system matrix must be square$"):
+            solve(np.full((2, 3), 0.1), [1.0, 1.0], [1.0, 1.0, 1.0])
+        for c, x in (([1.0], [1.0, 1.0]), ([1.0, 1.0], [1.0])):
+            with pytest.raises(ValueError,
+                               match="^dimension mismatch between matrix, state, and cost$"):
+                solve(0.5 * np.eye(2), c, x)
 
 
 def test_interior_maxima_match_the_colleague_matrix_roots():

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from stopcost.config import DEFAULT_TOLS
-from stopcost.matrix_core import SQUARES_KEPT, _assemble, certify_stable, mat_pow, mat_vec, \
-    real_jordan, spectral_radius, stable_squares
+from stopcost.matrix_core import SQUARES_KEPT, _assemble, mat_pow, mat_vec, real_jordan, \
+    spectral_radius, stable_squares
 
 from helpers import mat_pow_identity_start, random_stable, two_closed_classes_reduced
 
@@ -92,11 +92,11 @@ def test_certify_stable_returns_least_halving_power():
              0.999 * rotation(30.0), np.zeros((3, 3))]
     cases += [random_stable(rng, int(n), rho_max=0.999) for n in rng.integers(1, 30, 20)]
     for m in cases:
-        k = certify_stable(m)
+        k = stable_squares(m).k
         assert _inf_norm(np.linalg.matrix_power(m, k)) <= 0.5
         assert k == 1 or _inf_norm(np.linalg.matrix_power(m, k // 2)) > 0.5
-    assert certify_stable(np.array([[0.9]])) == 8
-    assert certify_stable(np.zeros((0, 0))) == 1
+    assert stable_squares(np.array([[0.9]])).k == 8
+    assert stable_squares(np.zeros((0, 0))).k == 1
 
 
 def test_certify_stable_rejects_unit_and_overflowing_radius():
@@ -104,18 +104,18 @@ def test_certify_stable_rejects_unit_and_overflowing_radius():
               np.array([[2.0, 1e100], [0.0, 0.3]])):
         with np.errstate(over="raise", invalid="raise"):
             with pytest.raises(ValueError, match="spectral radius must be strictly below 1"):
-                certify_stable(m)
-    assert certify_stable(np.array([[1.0 - 1e-6]])) == 2 ** 20
+                stable_squares(m).k
+    assert stable_squares(np.array([[1.0 - 1e-6]])).k == 2 ** 20
     # rho = 1 - 1e-12 needs k ~ ln(2) * 1e12 > 2^36, the cap
     with pytest.raises(ValueError, match=f"k <= {2 ** 36}"):
-        certify_stable(np.array([[1.0 - 1e-12]]))
+        stable_squares(np.array([[1.0 - 1e-12]])).k
 
 
 def test_certify_stable_needs_a_margin_below_one():
     """Two closed classes: the reduced powers tend to a projector of norm exactly 1,
     which rounding leaves under 1 at n = 243 (a `< 1` test accepted it at k = 1024)."""
     with pytest.raises(ValueError, match="spectral radius must be strictly below 1"):
-        certify_stable(two_closed_classes_reduced())
+        stable_squares(two_closed_classes_reduced()).k
 
 
 def test_stable_squares_keep_the_squares_up_to_4096_and_the_last():
@@ -123,7 +123,7 @@ def test_stable_squares_keep_the_squares_up_to_4096_and_the_last():
     for m in (np.array([[0.9]]), 0.999 * rotation(30.0), random_stable(rng, 6, rho_max=0.99),
               np.array([[1.0 - 1e-6]])):
         squares = stable_squares(m)
-        assert squares.k == certify_stable(m)
+        assert squares.k == stable_squares(m).k
         expected, power = [], np.array(m, dtype=float)
         while len(expected) < len(squares.norms):
             expected.append(power)

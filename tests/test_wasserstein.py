@@ -123,6 +123,29 @@ def test_w1_between_point_masses():
                 assert w1_distance(p, q) == pytest.approx(abs(i - j), abs=1e-9)
 
 
+def test_w1_accepts_two_laws_each_within_balance():
+    """Each law sums to 1 within `balance`, so their difference may sum to up to
+    twice that: w1_distance answers where w_norm's own check would refuse it."""
+    p = np.array([0.5, 0.5 + 0.9e-9])
+    q = np.array([0.5, 0.5 - 0.9e-9])
+    AmbiguitySet(p, 0.1), AmbiguitySet(q, 0.1)
+    with pytest.raises(ValueError, match="summing to zero"):
+        w_norm(p - q)
+    assert w1_distance(p, q) == 0.0
+    two_point = GroundDistance.explicit(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    assert w1_distance(p, q, two_point) == pytest.approx(9.0e-10, rel=1e-9)
+
+
+def test_w1_is_w_norm_of_the_difference():
+    rng = np.random.default_rng(97)
+    for t in (1, 2, 5, 12):
+        idx = np.arange(t, dtype=float)
+        for distance in (GroundDistance.line(),
+                         GroundDistance.explicit(np.abs(idx[:, None] - idx[None, :]) ** 0.5)):
+            p, q = random_distribution(rng, t), random_distribution(rng, t)
+            assert w1_distance(p, q, distance) == w_norm(p - q, distance)
+
+
 def test_w1_metric_properties():
     rng = np.random.default_rng(227)
     for _ in range(15):
