@@ -9,7 +9,8 @@ max(4, n). The unbounded-horizon ones run no eigensolver: stability is
 certified by squaring the stable matrix once (`stable_squares`), `rce-inf`
 scans with those squares to a certified tail bound, and `drce-geom` maximizes
 the exact resolvent form of the geometric objective (`geometric_drce_exact`),
-reporting the Chebyshev tail estimate of its interpolant in the third column.
+evaluated from the same squares for all the rates of a round at once, and
+reports the Chebyshev tail estimate of its interpolant in the third column.
 
 Model files are JSON with fields kind ("markov" or "gas"), an integer n,
 matrix (row-major), optional cost/x0 vectors, an optional finite cost_offset,

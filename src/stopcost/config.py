@@ -14,6 +14,7 @@ class Tolerances(NamedTuple):
     reconstruction: float = 1e-6      # |P J P^-1 - M|_inf relative to max(1, |M|_inf)
     eigen_distinct: float = 1e-9      # eigenvalue (and magnitude) separation before perturbing
     perturbation: float = 1e-7        # relative size of the diagonal perturbation
+    resolvent_backward_error: float = 4 * 2.0 ** -52  # |b - (I - sM)w| / ((1 + s|M|)|w| + |b|)
     # LP
     lp_feasibility: float = 1e-7      # residual allowed in a returned LP point
     # markov

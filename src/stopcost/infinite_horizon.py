@@ -22,7 +22,10 @@ over an interval of success rates, with one global maximizer (a Chebyshev
 interpolant and its interior maxima) and either of two exact forms of F, with no
 truncation. `geometric_drce` is the paper's route: it sums the expansion above
 in closed form. `geometric_drce_exact`, which the CLI runs, needs no expansion:
-F(rho) = rho c^T M (I - (1-rho) M)^{-1} x0, one direct solve per rate.
+F(rho) = rho c^T M (I - (1-rho) M)^{-1} x0, evaluated for all the rates of a
+round at once from the certificate's squares, one block product per square, and
+checked column by column by its backward error against M; a rate that fails the
+check takes a direct solve.
 """
 from __future__ import annotations
 
@@ -468,7 +471,7 @@ def _feasible_rates(rho_hat: float, xi: float, eps: float) -> tuple[float, float
 
 
 _CHEB_START = 16             # first interpolation degree: 17 Chebyshev-Lobatto nodes
-_CHEB_MAX_DEGREE = 1024      # the degree doubles up to this: at most 1,025 direct solves
+_CHEB_MAX_DEGREE = 1024      # the degree doubles up to this: at most 1,025 rates evaluated
 _ROUNDING = 64 * np.finfo(float).eps    # coefficients under this times max(1, max|F|) are noise
 
 
@@ -534,29 +537,28 @@ def _interior_maxima(coef: np.ndarray, noise: float) -> list[float]:
     return sorted(found)
 
 
-def _maximize_on_rates(objective, lo: float, hi: float,
+def _maximize_on_rates(objectives, lo: float, hi: float,
                        eps: float) -> tuple[float, float, float]:
     """Global maximum of a smooth scalar objective on the rates [lo, hi].
 
-    The objective is interpolated at Chebyshev-Lobatto nodes, starting from
-    degree _CHEB_START and doubling (the nodes nest) until the top quarter of the
-    Chebyshev coefficients is at most eps max(1, max|F|); past degree
-    _CHEB_MAX_DEGREE a RuntimeError is raised. The maximum is the best of lo, hi
-    and the interior maxima of the interpolant (`_interior_maxima`), each
-    re-evaluated by the objective; ties go to the smaller rho. Returns
-    (rho_star, value, tail): the tail is that top-quarter coefficient size, an
-    estimate of the interpolation error, never below _ROUNDING max(1, max|F|).
+    ``objectives`` is the objective batched: it maps an array of rates to the
+    array of their values, and is called once per round of nodes. The objective
+    is interpolated at Chebyshev-Lobatto nodes, starting from degree _CHEB_START
+    and doubling (the nodes nest) until the top quarter of the Chebyshev
+    coefficients is at most eps max(1, max|F|); past degree _CHEB_MAX_DEGREE a
+    RuntimeError is raised. The maximum is the best of lo, hi and the interior
+    maxima of the interpolant (`_interior_maxima`), each re-evaluated by the
+    objective; ties go to the smaller rho. Returns (rho_star, value, tail): the
+    tail is that top-quarter coefficient size, an estimate of the interpolation
+    error, never below _ROUNDING max(1, max|F|).
     """
     if hi == lo:
-        return lo, objective(lo), 0.0
+        return lo, float(objectives(np.array([lo]))[0]), 0.0
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-
-    def objectives(nodes: np.ndarray) -> np.ndarray:
-        return np.array([objective(rho) for rho in mid + half * nodes])
-
     deg = _CHEB_START
-    nodes = np.cos(np.pi * np.arange(deg + 1) / deg)
-    vals = np.array([objective(hi), *objectives(nodes[1:-1]), objective(lo)])
+    rates = mid + half * np.cos(np.pi * np.arange(deg + 1) / deg)
+    rates[0], rates[-1] = hi, lo
+    vals = objectives(rates)
     while True:
         if not np.isfinite(vals).all():
             raise RuntimeError("the objective is not finite on the feasible "
@@ -572,14 +574,14 @@ def _maximize_on_rates(objective, lo: float, hi: float,
                                f"[{lo:.6g}, {hi:.6g}]")
         finer = np.empty(2 * deg + 1)
         finer[::2] = vals
-        finer[1::2] = objectives(np.cos(np.pi * np.arange(1, 2 * deg, 2) / (2 * deg)))
+        finer[1::2] = objectives(mid + half * np.cos(np.pi * np.arange(1, 2 * deg, 2) / (2 * deg)))
         vals, deg = finer, 2 * deg
 
-    inner = [mid + half * s for s in _interior_maxima(coef, _ROUNDING * scale)]
-    rhos = [lo, *inner, hi]
-    values = [float(vals[-1]), *(objective(rho) for rho in inner), float(vals[0])]
+    inner = mid + half * np.array(_interior_maxima(coef, _ROUNDING * scale))
+    rhos = np.concatenate([[lo], inner, [hi]])
+    values = np.concatenate([vals[-1:], objectives(inner) if inner.size else inner, vals[:1]])
     best = int(np.argmax(values))          # the first maximum: ties go to the smaller rho
-    return rhos[best], values[best], tail
+    return float(rhos[best]), float(values[best]), tail
 
 
 def geometric_drce(s: OscillatorySum, rho_hat: float, xi: float,
@@ -607,8 +609,69 @@ def geometric_drce(s: OscillatorySum, rho_hat: float, xi: float,
     def objective(rho: float) -> float:
         return float((weight * (rho * z / (1.0 - (1.0 - rho) * z))).real.sum())
 
-    rho_star, value, _ = _maximize_on_rates(objective, lo, hi, max(eps, _ROUNDING))
-    return float(rho_star), value, float(eps * (1.0 - rho_star) ** find_n0(s, eps))
+    def objectives(rhos: np.ndarray) -> np.ndarray:
+        return np.array([objective(rho) for rho in rhos])
+
+    rho_star, value, _ = _maximize_on_rates(objectives, lo, hi, max(eps, _ROUNDING))
+    return rho_star, value, float(eps * (1.0 - rho_star) ** find_n0(s, eps))
+
+
+_UNIT = 2.0 ** -53           # unit roundoff: a term below this relative size is dropped
+
+
+def _resolvent_objective(squares: StableSquares, cv: np.ndarray, xv: np.ndarray):
+    """F(rho) = rho c^T (I - s M)^{-1} b, s = 1 - rho and b = M x0, as a batched
+    objective: a function of an array of rates that returns their values.
+
+    With k = 2^L the certificate's power, (I - sM)^{-1} = sum_q (s^k M^k)^q
+    prod_{j<L} (I + s^(2^j) M^(2^j)). Each factor of the product is one block
+    product of M^(2^j) with the n x r block of all r rates; it stops early once
+    s^(2^j) |M^(2^j)|_inf is under _UNIT for every rate, and forms the squares
+    past SQUARES_KEPT again, one at a time, only while they are needed. The
+    series contracts by gamma = s^k |M^k|_inf <= 1/2, so its term count is fixed
+    by gamma^terms <= _UNIT: at most 53. Each column w is then accepted only if
+    its backward error against M, |b - (I - sM) w|_inf over (1 + s|M|_inf)
+    |w|_inf + |b|_inf, is at most `resolvent_backward_error`; any other rate
+    takes a direct solve (an LU) of I - sM, and that value is returned.
+    """
+    a, norms, powers = squares.matrix, squares.norms, squares.powers
+    b = a @ xv
+    levels = len(norms) - 1
+    b_norm = float(np.abs(b).max(initial=0.0))
+
+    def direct(rho: float) -> float:
+        lhs = (rho - 1.0) * a
+        lhs.flat[::a.shape[0] + 1] += 1.0
+        return rho * float(cv @ np.linalg.solve(lhs, b))
+
+    def objectives(rhos: np.ndarray) -> np.ndarray:
+        s = 1.0 - rhos
+        w = np.repeat(b[:, None], rhos.shape[0], axis=1)
+        # a column that overflows fails the check below and is solved directly
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(levels):
+                weight = s ** (2.0 ** j)
+                if float((weight * norms[j]).max()) < _UNIT:
+                    break
+                # M^(2^j): kept up to SQUARES_KEPT, formed again from the last one past it
+                square = powers[j] if 2 ** j <= SQUARES_KEPT else square @ square
+                w += (square @ w) * weight
+            else:                               # no level was negligible: the series
+                weight = s ** float(2 ** levels)
+                gamma = float((weight * norms[-1]).max())
+                terms = math.ceil(math.log(_UNIT) / math.log(gamma)) if gamma > 0.0 else 1
+                head = w
+                for _ in range(terms - 1):
+                    w = head + (powers[-1] @ w) * weight
+            residual = np.abs(b[:, None] - w + (a @ w) * s).max(axis=0, initial=0.0)
+            bound = (1.0 + s * norms[0]) * np.abs(w).max(axis=0, initial=0.0) + b_norm
+            values = rhos * (cv @ w)
+        accepted = (residual <= DEFAULT_TOLS.resolvent_backward_error * bound) & np.isfinite(bound)
+        for i in np.flatnonzero(~accepted):
+            values[i] = direct(rhos[i])
+        return values
+
+    return objectives
 
 
 def geometric_drce_exact(m, c, x, rho_hat: float, xi: float,
@@ -619,25 +682,20 @@ def geometric_drce_exact(m, c, x, rho_hat: float, xi: float,
     m is a matrix, certified as in `rce_infinite`, or the `StableSquares` of one.
     The objective sum_t rho (1-rho)^{t-1} <c, M^t x> is the generating function
     of the cost at 1 - rho, F(rho) = rho c^T M (I - (1-rho) M)^{-1} x, evaluated
-    by one direct solve per rho and maximized by `_maximize_on_rates`. For a
-    Markov chain, pass its shifted form (`to_gas`) and add the cost offset to the
-    value: the weights sum to 1. Returns (rho_star, value, tail): the tail is the
-    top-quarter Chebyshev coefficient size, an estimate of the interpolation
-    error, never below _ROUNDING max(1, max|F|), so eps must be at least _ROUNDING.
+    for each round of rates together from the certificate's squares and checked
+    by its backward error (`_resolvent_objective`), and maximized by
+    `_maximize_on_rates`. For a Markov chain, pass its shifted form (`to_gas`)
+    and add the cost offset to the value: the weights sum to 1. Returns
+    (rho_star, value, tail): the tail is the top-quarter Chebyshev coefficient
+    size, an estimate of the interpolation error, never below _ROUNDING
+    max(1, max|F|), so eps must be at least _ROUNDING.
     """
     lo, hi = _feasible_rates(rho_hat, xi, eps)
     if eps < _ROUNDING:
         raise ValueError(f"eps must be at least {_ROUNDING:.3g}, the rounding level of "
                          f"the interpolated values, got {eps!r}")
-    a, cv, xv = _certified(m, c, x)[1:]  # the squares are not kept
-    mx = a @ xv
-
-    def objective(rho: float) -> float:
-        lhs = (rho - 1.0) * a
-        lhs.flat[::a.shape[0] + 1] += 1.0
-        return rho * float(cv @ np.linalg.solve(lhs, mx))
-
-    return _maximize_on_rates(objective, lo, hi, eps)
+    squares, _, cv, xv = _certified(m, c, x)
+    return _maximize_on_rates(_resolvent_objective(squares, cv, xv), lo, hi, eps)
 
 
 def adversarial_instance(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

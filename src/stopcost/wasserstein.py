@@ -290,6 +290,8 @@ def drce_with_initial_uncertainty(m, x_hat0, vertices, c, amb: AmbiguitySet) -> 
     ``vertices`` lists the extreme offsets u_i of the initial-state uncertainty
     set; the inner worst-case cost is evaluated at each x_hat0 + u_i and the
     largest one wins (earliest index on ties). Returns (value, winning index).
+    Each vertex must have one entry per state; ValueError names the first that
+    does not.
     """
     a, x_hat, cv = as_system(m, x_hat0, c)
     if len(vertices) == 0:
@@ -297,7 +299,11 @@ def drce_with_initial_uncertainty(m, x_hat0, vertices, c, amb: AmbiguitySet) -> 
     horizon = amb.nominal.shape[0]
     best_val, best_idx = -np.inf, -1
     for idx, u in enumerate(vertices):
-        x0 = x_hat + as_vector(u)
+        offset = as_vector(u)
+        if offset.shape[0] != x_hat.shape[0]:
+            raise ValueError(f"uncertainty vertex {idx} has length {offset.shape[0]}, "
+                             f"expected {x_hat.shape[0]} (one entry per state)")
+        x0 = x_hat + offset
         seq = cost_sequence_strided(a, x0, cv, horizon)
         sol = drce_finite(seq, amb)
         if sol.value > best_val:

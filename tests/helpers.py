@@ -11,7 +11,7 @@ from scipy.optimize import linprog
 
 from stopcost.config import DEFAULT_TOLS
 from stopcost.markov_gas import _validate_transition
-from stopcost.matrix_core import mat_pow
+from stopcost.matrix_core import mat_pow, stable_squares
 from stopcost.scenarios import _regular_shift_matrix
 
 
@@ -236,6 +236,50 @@ def geometric_grid_oracle(m, c, x0, rhos):
     for value in g[::-1]:                        # Horner in q = 1 - rho
         acc = acc * q + value
     return rhos * acc
+
+
+def nonnormal_stable(rng, n, growth):
+    """Q (D + tau N) Q^T: eigenvalues D in (-0.95, 0.95), a random strictly
+    upper-triangular N and a random orthogonal Q, with tau bisected (in log
+    scale) until the largest certificate square |M^(2^j)|_inf is about
+    `growth`, a transient growth of the powers before they decay."""
+    d = np.diag(rng.uniform(-0.95, 0.95, n))
+    upper = np.triu(rng.standard_normal((n, n)), 1)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    lo, hi = -8.0, 8.0
+    for _ in range(30):
+        mid = 0.5 * (lo + hi)
+        try:
+            peak = max(stable_squares(q @ (d + 10.0 ** mid * upper) @ q.T).norms)
+        except ValueError:                   # the powers overflow the certificate
+            peak = math.inf
+        lo, hi = (mid, hi) if peak < growth else (lo, mid)
+    return q @ (d + 10.0 ** lo * upper) @ q.T
+
+
+def transient_growth(m):
+    """max over t >= 0 of |M^t|_inf, by repeated products up to the certificate's
+    k: past it the powers at least halve every k steps."""
+    power, growth = np.eye(m.shape[0]), 1.0
+    for _ in range(stable_squares(m).k):
+        power = power @ m
+        growth = max(growth, float(np.abs(power).sum(axis=1).max()))
+    return growth
+
+
+def resolvent_direct_oracle(m, c, x, rhos):
+    """F(rho) = rho c^T (I - (1-rho) M)^{-1} M x with one `numpy.linalg.solve`
+    per rate, written as `geometric_drce_exact`'s direct solve is, so that the
+    same rates give the same bits."""
+    a, cv, xv = (np.asarray(v, dtype=float) for v in (m, c, x))
+    mx = a @ xv
+    values = []
+    for rho in rhos:
+        lhs = (rho - 1.0) * a
+        lhs.flat[::a.shape[0] + 1] += 1.0
+        values.append(rho * float(cv @ np.linalg.solve(lhs, mx)))
+    return np.array(values)
+
 
 def exact_cost_values(a, q, c, x, horizon):
     """g(t) = <c, M^t x> for t = 1..horizon as exact Fractions, where M = a / q.

@@ -685,9 +685,10 @@ def test_markov_ops_run_no_eigensolver(tmp_path, capsys, monkeypatch):
 
 
 def test_drce_geom_eigensolves_only_in_real_jordan(tmp_path, capsys, monkeypatch):
-    """drce-geom runs on direct solves of the resolvent: it answers as before with
-    every eigensolver disabled, and np.linalg.eig is never reached, not even
-    through real_jordan."""
+    """drce-geom evaluates the resolvent from the certificate's squares, with a
+    direct solve for any rate that fails its backward-error check: it answers as
+    before with every eigensolver disabled, and np.linalg.eig is never reached,
+    not even through real_jordan."""
     model, _ = _lazy_cycle_files(tmp_path)
     runs = [("drce-geom", "--model", model, "--rho", "0.02", "--radius", "5"),
             ("drce-geom", "--model", model, "--rho", "0.5", "--radius", "0.2")]

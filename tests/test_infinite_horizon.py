@@ -29,9 +29,9 @@ from stopcost.finite_horizon import cost_sequence_strided
 from stopcost.markov_gas import MarkovChain, project_state, to_gas, transfer_cost
 from stopcost.matrix_core import mat_pow, stable_squares
 
-from helpers import (exact_cost_values, geometric_grid_oracle, lazy_cycle,
+from helpers import (exact_cost_values, geometric_grid_oracle, lazy_cycle, nonnormal_stable,
                      oscillatory_values, random_stable, rce_infinite_own_squares,
-                     two_closed_classes_reduced)
+                     resolvent_direct_oracle, transient_growth, two_closed_classes_reduced)
 
 DIAG = np.diag([0.9, -0.5])
 ONES = np.array([1.0, 1.0])
@@ -876,6 +876,113 @@ def test_geometric_drce_exact_validation(monkeypatch):
     monkeypatch.setattr(infinite_horizon, "_CHEB_MAX_DEGREE", 16)
     with pytest.raises(RuntimeError, match="Chebyshev tail .* at degree 16"):
         geometric_drce_exact(*system, 0.5, 2.0, 1e-9)
+
+
+def count_direct_solves(monkeypatch):
+    """A list that gains one entry per `np.linalg.solve` call while the patch holds."""
+    calls, solve = [], np.linalg.solve
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    return calls
+
+
+def assert_resolvent_matches_direct_solves(system, rhos, monkeypatch):
+    """The batched resolvent objective on `system` = (M, c, x) against one direct
+    solve per rate, to 1e-12 of max(1, |F|). Returns its own direct solves."""
+    m, c, x = system
+    oracle = resolvent_direct_oracle(m, c, x, rhos)
+    with monkeypatch.context() as patch:
+        calls = count_direct_solves(patch)
+        values = infinite_horizon._resolvent_objective(stable_squares(m), c, x)(rhos)
+    assert np.all(np.abs(values - oracle) <= 1e-12 * np.maximum(1.0, np.abs(values))), \
+        (np.abs(values - oracle) / np.maximum(1.0, np.abs(values))).max()
+    return len(calls)
+
+
+def test_resolvent_objective_matches_direct_solves_on_random_systems(monkeypatch):
+    """240 random stable systems, 108 of them non-normal with transient growth
+    |M^t|_inf up to ~1e5, each at the rate floor 1e-12, at rho = 1 and at 15
+    random rates. With every column accepted, the block products were off by up
+    to 1.2e-4 of max(1, |F|) here; the backward-error check sends those rates to
+    the direct solve, which most rates never need."""
+    rng = np.random.default_rng(401)
+    solves, rates, growth = 0, 0, []
+    for i in range(240):
+        n = int(rng.integers(1, 13))
+        if i % 2 or n == 1:
+            m = random_stable(rng, n, rho_max=0.999)
+        else:
+            m = nonnormal_stable(rng, n, 10.0 ** rng.uniform(0.0, 5.0))
+            growth.append(transient_growth(m))
+        rhos = np.concatenate([[1e-12, 1.0], rng.uniform(0.0, 1.0, 15)])
+        solves += assert_resolvent_matches_direct_solves(
+            (m, rng.standard_normal(n), rng.standard_normal(n)), rhos, monkeypatch)
+        rates += rhos.shape[0]
+    assert 1e4 <= max(growth) <= 2e5
+    assert solves <= rates // 4, (solves, rates)
+
+
+def test_resolvent_objective_forms_the_squares_past_4096_again(monkeypatch):
+    """The pure lazy 256-cycle (hold 1/2, no restarts) needs k = 2^15, so the
+    certificate keeps M^4096 and M^k only: at the rate floor the product forms
+    M^8192 and M^16384 again. Every rate answers with no direct solve."""
+    n = 256
+    walk = 0.5 * np.eye(n) + 0.5 * np.roll(np.eye(n), 1, axis=0)
+    x0 = np.zeros(n)
+    x0[0] = 1.0
+    gas = to_gas(MarkovChain.from_transition(walk))
+    cost, _ = transfer_cost(gas, np.random.default_rng(256).random(n))
+    system = gas.m_bar, cost, project_state(gas, x0)
+    assert gas.squares.k == 2 ** 15
+    lo, hi = feasible_rates(0.02, 5.0)
+    nodes = 0.5 * (hi + lo) + 0.5 * (hi - lo) * np.cos(np.pi * np.arange(17) / 16)
+    rhos = np.concatenate([[1e-12, 1e-9, 1e-6, 1e-3, 0.5, 1.0], nodes])
+    assert assert_resolvent_matches_direct_solves(system, rhos, monkeypatch) == 0
+
+
+def test_resolvent_objective_falls_back_to_the_direct_solve_bit_for_bit(monkeypatch):
+    """With the backward-error tolerance set so that every column fails, each
+    value is the direct solve's own: the oracle's bits, rate by rate."""
+    rng = np.random.default_rng(409)
+    systems = [cycle_system(32, 37), (nonnormal_stable(rng, 6, 1e4), rng.standard_normal(6),
+                                      rng.standard_normal(6))]
+    rhos = np.concatenate([[1e-12, 1.0], rng.uniform(0.0, 1.0, 15)])
+    monkeypatch.setattr(infinite_horizon, "DEFAULT_TOLS",
+                        infinite_horizon.DEFAULT_TOLS._replace(resolvent_backward_error=-1.0))
+    for m, c, x in systems:
+        oracle = resolvent_direct_oracle(m, c, x, rhos)
+        with monkeypatch.context() as patch:
+            calls = count_direct_solves(patch)
+            values = infinite_horizon._resolvent_objective(stable_squares(m), c, x)(rhos)
+        assert len(calls) == rhos.shape[0]
+        assert np.array_equal(values, oracle)
+
+
+def test_resolvent_objective_solves_an_overflowing_column_directly(monkeypatch):
+    """|M|_inf = 1e148 and the values reach 1e248 here, so the check's own
+    product M w overflows at every rate below 1: those columns fail the check,
+    with no warning, and take the direct solve's bits. At rho = 1 the column is
+    b itself."""
+    m, c, x = np.array([[0.9, 1e148], [0.0, 0.9]]), ONES, np.array([1e100, 1e100])
+    rhos = np.array([1e-12, 1e-3, 0.5, 1.0])
+    oracle = resolvent_direct_oracle(m, c, x, rhos)
+    calls = count_direct_solves(monkeypatch)
+    values = infinite_horizon._resolvent_objective(stable_squares(m), c, x)(rhos)
+    assert len(calls) == 3
+    assert np.array_equal(values, oracle) and np.isfinite(values).all()
+
+
+@pytest.mark.parametrize("n", [32, 64, 128])
+def test_geometric_drce_exact_runs_no_direct_solve_on_lazy_cycles(n, monkeypatch):
+    """Each Chebyshev node took one LU, 17 a call here; the squares answer them all."""
+    system = cycle_system(n, 5 + n)
+    calls = count_direct_solves(monkeypatch)
+    geometric_drce_exact(*system, 0.02, 5.0, 1e-9)
+    assert calls == []
 
 
 def test_both_unbounded_solvers_take_a_matrix_or_its_squares():

@@ -434,6 +434,18 @@ def test_initial_uncertainty_needs_vertices():
                                       AmbiguitySet(np.array([1.0]), 0.0))
 
 
+def test_initial_uncertainty_vertices_need_one_entry_per_state():
+    """A vertex needs one entry per state: a 1-entry vertex is not broadcast over
+    both states, and a 3-entry one does not reach numpy's broadcast error; each
+    raises a ValueError naming the vertex and its length."""
+    m = np.array([[0.6, 0.1], [0.2, 0.5]])
+    amb = AmbiguitySet(np.array([0.4, 0.3, 0.3]), 0.2)
+    for vertices, idx, length in (([[0.3]], 0, 1), ([[0.0, 0.0], [0.1, 0.2, 0.3]], 1, 3)):
+        with pytest.raises(ValueError, match=f"^uncertainty vertex {idx} has length {length}, "
+                                             r"expected 2 \(one entry per state\)$"):
+            drce_with_initial_uncertainty(m, np.array([0.5, 0.5]), vertices, np.ones(2), amb)
+
+
 # ------------------------------------------------------------ validation ---
 
 def test_ambiguity_set_validation():
