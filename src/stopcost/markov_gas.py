@@ -1,13 +1,17 @@
 """Markov chains and their centered, reduced linear-system form.
 
-An ergodic chain on n states, viewed through the fixed (n-1) x n difference
-operators A and B below, becomes a globally asymptotically stable linear system
-of dimension n-1: v_t = A (x_t - pi) evolves as v_{t+1} = m_bar v_t with
-spectral radius < 1, and x_t = B v_t + pi recovers the distribution. Linear
-costs transfer exactly: <c, x_t> = <B^T c, v_t> + <c, pi>.
+An ergodic chain on n states, viewed through the fixed running-sum and
+difference operators A and B below, becomes a globally asymptotically stable
+linear system of dimension n-1: v_t = A (x_t - pi) evolves as v_{t+1} =
+m_bar v_t with spectral radius < 1, and x_t = B v_t + pi recovers the
+distribution. Linear costs transfer exactly: <c, x_t> = <B^T c, v_t> + <c, pi>.
 
 m_bar = A M B is M restricted to the zero-sum vectors, so its eigenvalues are
-M's with one copy of the unit eigenvalue removed. Stability is certified by
+M's with one copy of the unit eigenvalue removed. A is a running sum and B a
+difference. A M stays one BLAS product: a running sum of M's rows rounds
+differently and would move m_bar. B is applied as the difference of A M's
+adjacent columns, the product with B bit for bit, since each entry of that
+product has just those two nonzero terms. Stability is certified by
 squaring m_bar until |m_bar^k|_inf <= 1/2 (`stable_squares`), not by computing
 eigenvalues: no function here runs an eigensolver, and none needs scipy.
 `MarkovChain.from_transition` forms A, B and m_bar once and keeps the squares;
@@ -29,12 +33,10 @@ def _validate_transition(m) -> np.ndarray:
         raise ValueError("transition matrix must be square")
     if np.any(a < -DEFAULT_TOLS.entry_clamp):
         raise ValueError("transition matrix has negative entries")
-    colsums = a.sum(axis=0)
-    if np.abs(colsums - 1.0).max() > DEFAULT_TOLS.column_sum:
-        raise ValueError(
-            f"columns must sum to 1 within {DEFAULT_TOLS.column_sum:g} "
-            f"(worst deviation {np.abs(colsums - 1.0).max():.3e})"
-        )
+    worst = np.abs(a.sum(axis=0) - 1.0).max()
+    if worst > DEFAULT_TOLS.column_sum:
+        raise ValueError(f"columns must sum to 1 within {DEFAULT_TOLS.column_sum:g} "
+                         f"(worst deviation {worst:.3e})")
     a = a.copy()
     a[(a < 0) & (a > -DEFAULT_TOLS.entry_clamp)] = 0.0   # clamp numeric noise
     return a
@@ -57,10 +59,16 @@ def stationary(m) -> np.ndarray:
 
 
 def _reduce(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, StableSquares]:
-    """A, B and the certified squares of m_bar = A a B, for a validated a."""
+    """A, B and the certified squares of m_bar = A a B, for a validated a.
+
+    A a is a BLAS product and B applied as the difference of its adjacent
+    columns, bit for bit the product with B: one n^3 product, not two.
+    """
     a_op, b_op = build_ab(a.shape[0])
+    m_bar = a_op @ a
+    m_bar = m_bar[:, :-1] - m_bar[:, 1:]    # A a is freed before the squares
     try:
-        return a_op, b_op, stable_squares(a_op @ a @ b_op)
+        return a_op, b_op, stable_squares(m_bar)
     except ValueError:
         raise ValueError("multiple unit-magnitude eigenvalues: chain is not ergodic enough") from None
 
@@ -68,8 +76,8 @@ def _reduce(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, StableSquares]:
 def _stationary(a: np.ndarray) -> np.ndarray:
     # `stationary` for a matrix `_reduce` has already certified
     n = a.shape[0]
-    shift = 1.0 + 1e-11
-    lhs = a - shift * np.eye(n)
+    lhs = a.copy()
+    lhs.flat[::n + 1] -= 1.0 + 1e-11        # a - shift * I, on the diagonal alone
     v = np.full(n, 1.0 / n)
     best, best_res = None, np.inf
     for _ in range(100):
@@ -147,16 +155,11 @@ def build_ab(n: int) -> tuple[np.ndarray, np.ndarray]:
 
     A has ones on and below the diagonal; B is bidiagonal with +1 on the
     diagonal and -1 just below, so every column of B sums to zero and
-    A B = I_{n-1}.
+    A B = I_{n-1}. `_reduce` applies B as a column difference, A as a product.
     """
     if not isinstance(n, (int, np.integer)) or n < 2:
         raise ValueError(f"need at least 2 states, got {n!r}")
-    a = np.tril(np.ones((n - 1, n)))
-    b = np.zeros((n, n - 1))
-    idx = np.arange(n - 1)
-    b[idx, idx] = 1.0
-    b[idx + 1, idx] = -1.0
-    return a, b
+    return np.tri(n - 1, n), np.eye(n, n - 1) - np.eye(n, n - 1, -1)
 
 
 def to_gas(chain: MarkovChain) -> GasSystem:

@@ -285,18 +285,10 @@ def build_health_chain(p: HealthParams) -> tuple[np.ndarray, np.ndarray, np.ndar
     report without building it.
     """
     person, init, c_person = health_person(p)
-    m = person
-    x0 = init
+    m, x0, c = person, init, c_person
     for _ in range(p.population - 1):
-        m = np.kron(m, person)
-        x0 = np.kron(x0, init)
-    n_states = person.shape[0]
-    total = n_states ** p.population
-    c = np.zeros(total)
-    rem = np.arange(total)
-    for _ in range(p.population):
-        c += c_person[rem % n_states]
-        rem //= n_states
+        m, x0 = np.kron(m, person), np.kron(x0, init)
+        c = np.add.outer(c, c_person).ravel()     # the Kronecker sum: counts add
     return m, x0, c
 
 
@@ -578,23 +570,6 @@ def _band_table(cum: np.ndarray, rescale: bool, next_slots: int | None = None) -
     return _BandTable(tuple(levels), nxt.ravel(), below, width, floor, slots)
 
 
-def _cumulative_columns(a: np.ndarray) -> np.ndarray:
-    """Running column sums of max(a, 0), in place in one buffer.
-
-    The rows are added in order, as np.cumsum(np.clip(a, 0, None), axis=0)
-    adds them, so the table is bit-identical without its two n x n temporaries.
-    The loop stays because that one call accumulates down strided columns: on
-    a 2-vCPU host with one BLAS thread, medians of interleaved calls (three
-    runs) gave 18.8-19.4 ms for it against 5.4-5.8 ms for the loop on the
-    1024-state svir chain, though 0.055-0.059 ms against 0.19-0.20 ms on the
-    101-state csoc chain.
-    """
-    cum = np.maximum(a, 0.0)
-    for i in range(1, cum.shape[0]):
-        np.add(cum[i - 1], cum[i], out=cum[i])
-    return cum
-
-
 def _decode(table: _BandTable, at: np.ndarray, u: np.ndarray) -> None:
     """Step every person for one draw per walker, in place: row d of `at`
     holds person d's state j as j * table.slots, the offset of the column of
@@ -616,10 +591,11 @@ def _decode(table: _BandTable, at: np.ndarray, u: np.ndarray) -> None:
         at[d] = table.next_at[pos]
 
 
-def _rollout_costs(cum_cols: np.ndarray, cum_x0: np.ndarray, c: np.ndarray,
+def _rollout_costs(a: np.ndarray, x0: np.ndarray, c: np.ndarray,
                    samples: np.ndarray | list[int], copies: int, seed: int,
                    digits: int) -> np.ndarray:
-    """Realized cost at each sampled stopping time, summed over the copies.
+    """Realized cost at each sampled stopping time, summed over the copies,
+    for the step matrix a and start law x0, whose entries below 0 count as 0.
 
     Sample i draws from its own substream, spawn key (i,) under the seed:
     copy r takes draws r(t_i+1) .. r(t_i+1)+t_i, the first picking the start
@@ -632,10 +608,11 @@ def _rollout_costs(cum_cols: np.ndarray, cum_x0: np.ndarray, c: np.ndarray,
     for the block and draws each stream through it. All walkers of a block
     step together, longest first so the walkers still moving form a prefix.
     Each step looks its draw up in the band tables of the step matrix
-    (`_band_table`, built once per call; x0's law is a one-column table), and
-    a walker's state is kept as its column's offset in those tables. The
-    states, and hence the costs, are bit-identical to drawing and stepping
-    one copy at a time with a fresh generator per sample.
+    (`_band_table` of its running column sums, one np.cumsum built once per
+    call; x0's law is a one-column table), and a walker's state is kept as its
+    column's offset in those tables. The states, and hence the costs, are
+    bit-identical to drawing and stepping one copy at a time with a fresh
+    generator per sample.
 
     With digits = N > 1 the tables describe one person and a walker is N
     persons, its cost the sum of theirs. Each draw is decoded digit by digit
@@ -643,9 +620,10 @@ def _rollout_costs(cum_cols: np.ndarray, cum_x0: np.ndarray, c: np.ndarray,
     barring draws within about k^N ulps of a block boundary; the 53 bits of
     that draw bound N (see the module docstring).
     """
-    step_table = _band_table(cum_cols, digits > 1)
+    step_table = _band_table(np.cumsum(np.maximum(a, 0.0), axis=0), digits > 1)
     # x0's law as a one-column table whose states are offsets in step_table
-    x0_table = _band_table(cum_x0.reshape(-1, 1), digits > 1, step_table.slots)
+    x0_table = _band_table(np.cumsum(np.maximum(x0, 0.0)).reshape(-1, 1), digits > 1,
+                           step_table.slots)
     ts = np.asarray(samples, dtype=np.intp)
     block = max(1, _ROLLOUT_BLOCK_DRAWS // (copies * (int(ts.max()) + 1)))
     costs = np.empty(ts.size)
@@ -692,12 +670,12 @@ def compare_report(m, x0, c, samples, xi: float, seed: int, *,
     `SeedSequence(seed)`: as one flat run of draws from the PCG64 recurrence
     when no stream of the block is longer than 32 draws, else through one
     generator the block builds. Each step reads its next state off per-column
-    band tables built once per call, by a search over the widest support
-    band. The percentages are bit-identical to sequential per-sample draws
-    from fresh generators. The matrix need only be column-stochastic. The seed
-    must be a non-negative integer, and the samples, support_max, copies and
-    population integers: a float among them raises ValueError before any work
-    is done.
+    band tables of the matrix's running column sums, built once per call
+    with one np.cumsum, by a search over the widest support band. The
+    percentages are bit-identical to sequential per-sample draws from fresh
+    generators. The matrix need only be column-stochastic. The seed must be a
+    non-negative integer, and the samples, support_max, copies and population
+    integers: a float among them raises ValueError before any work is done.
 
     With population = N > 1, (m, x0, c) describe one person and each replica
     is N independent, identical persons, costing the sum of their costs. The
@@ -740,9 +718,7 @@ def compare_report(m, x0, c, samples, xi: float, seed: int, *,
     robust = drce_finite(CostSequence(horizon, g),
                          AmbiguitySet(p_hat, float(xi))).value
 
-    cum_cols = _cumulative_columns(a)
-    cum_x0 = np.cumsum(np.clip(x, 0.0, None))
-    costs = _rollout_costs(cum_cols, cum_x0, cv, ts, copies, seed, population)
+    costs = _rollout_costs(a, x, cv, ts, copies, seed, population)
     pct_emp = 100.0 * float(np.mean(costs > empirical))
     pct_rob = 100.0 * float(np.mean(costs > robust))
     return ComparisonReport(empirical, robust, pct_emp, pct_rob,

@@ -210,6 +210,26 @@ def rollout_costs_oracle(m, x0, c, samples, seed, copies=1):
     return np.array(costs)
 
 
+def cumulative_columns_loop(a):
+    """Running column sums of max(a, 0), one row added onto the next in place:
+    the rollout table as the package built it before it called np.cumsum."""
+    cum = np.maximum(np.asarray(a, dtype=float), 0.0)
+    for i in range(1, cum.shape[0]):
+        np.add(cum[i - 1], cum[i], out=cum[i])
+    return cum
+
+
+def build_ab_loop(n):
+    """A and B as `build_ab` built them before np.tri and np.eye: the lower
+    triangle of a ones matrix, and B's two diagonals set by index."""
+    a = np.tril(np.ones((n - 1, n)))
+    b = np.zeros((n, n - 1))
+    idx = np.arange(n - 1)
+    b[idx, idx] = 1.0
+    b[idx + 1, idx] = -1.0
+    return a, b
+
+
 def oscillatory_values(s, ts):
     """g(t) of an OscillatorySum at the integers ts, term by term as the package sums it."""
     out = np.zeros(ts.shape[0])

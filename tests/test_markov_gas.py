@@ -15,7 +15,7 @@ from stopcost.markov_gas import (
 from stopcost.matrix_core import mat_pow, spectral_radius
 from stopcost.scenarios import HealthParams, build_health_chain
 
-from helpers import random_chain, stationary_eigvals_oracle
+from helpers import build_ab_loop, random_chain, stationary_eigvals_oracle
 
 TWO_STATE = np.array([[0.8, 0.1], [0.2, 0.9]])
 
@@ -32,6 +32,21 @@ def test_build_ab_structure():
     a, b = build_ab(4)
     np.testing.assert_array_equal(a, [[1, 0, 0, 0], [1, 1, 0, 0], [1, 1, 1, 0]])
     np.testing.assert_array_equal(b, [[1, 0, 0], [-1, 1, 0], [0, -1, 1], [0, 0, -1]])
+
+
+@pytest.mark.parametrize("n", [*range(2, 41), 64, 100, 101, 128, 200, 257, 300, 513])
+def test_reduction_is_the_dense_product_bit_for_bit(n):
+    # `_reduce` applies B as a difference of A M's adjacent columns, which is
+    # the product with B: each entry of (A M) B has those two nonzero terms.
+    # A M itself stays a BLAS product. A running sum of M's rows adds in
+    # another order than the BLAS kernel and can round differently, which
+    # would move m_bar and every answer reached from it.
+    m = random_chain(np.random.default_rng(n), n)
+    a_op, b_op = build_ab_loop(n)
+    a, b = build_ab(n)
+    assert np.array_equal(a, a_op) and np.array_equal(b, b_op)
+    m_bar = to_gas(MarkovChain.from_transition(m)).m_bar
+    assert np.array_equal(m_bar, a_op @ m @ b_op)
 
 
 def test_build_ab_rejects_tiny():

@@ -22,6 +22,7 @@ from stopcost.scenarios import (
 from helpers import (
     PCG_MULT,
     csoc_backlog_matmul_steps,
+    cumulative_columns_loop,
     overtime_death_chain_loop,
     pcg_start_states,
     regular_shift_matrix_loop,
@@ -443,20 +444,35 @@ def test_rollout_costs_bit_identical_with_clamps_and_blocks(n, block_draws, monk
     samples = [1, 9] + [int(t) for t in rng.integers(1, 10, size=40)]
     monkeypatch.setattr(scenarios, "_ROLLOUT_BLOCK_DRAWS", block_draws)
     for copies in (1, 3):
-        got = scenarios._rollout_costs(np.cumsum(m, axis=0), np.cumsum(x0), c,
-                                       samples, copies, n, 1)
+        got = scenarios._rollout_costs(m, x0, c, samples, copies, n, 1)
         want = rollout_costs_oracle(m, x0, c, samples, n, copies)
         assert np.array_equal(got, want)
 
 
-def test_cumulative_columns_equal_clipped_cumsum():
-    svir, _, _ = build_health_chain(HealthParams(model="svir"))
+def test_rollout_tables_equal_the_row_loop(monkeypatch):
+    # np.cumsum adds the rows in the loop's order, so both tables that
+    # _rollout_costs builds are the loop's bit for bit
+    csoc, csoc_x0, csoc_c = build_csoc_overtime(CsocParams())
+    svir, svir_x0, svir_c = build_health_chain(HealthParams(model="svir"))
     # entries just below zero pass validation and must be clipped to zero
-    tiny_negative, _, _ = _tied_chain()
-    tiny_negative[tiny_negative == 0.0] = -0.5e-12
-    for a in (svir, tiny_negative, svir[:1, :1]):
-        want = np.cumsum(np.clip(a, 0.0, None), axis=0)
-        assert np.array_equal(scenarios._cumulative_columns(a), want)
+    tied, tied_x0, tied_c = _tied_chain()
+    tied[tied == 0.0] = -0.5e-12
+    tied_x0[tied_x0 == 0.0] = -0.5e-12
+    cases = [(csoc, csoc_x0, csoc_c), (svir, svir_x0, svir_c), (tied, tied_x0, tied_c)]
+    cases += [health_person(HealthParams(model=name)) for name in ("sir", "svir")]
+    assert [a.shape[0] for a, _, _ in cases] == [101, 1024, 6, 3, 4]
+    built, band_table = [], scenarios._band_table
+
+    def record(cum, *args):
+        built.append(cum)
+        return band_table(cum, *args)
+    monkeypatch.setattr(scenarios, "_band_table", record)
+    for a, x0, c in cases:
+        built.clear()
+        scenarios._rollout_costs(a, x0, c, [1], 1, 0, 1)
+        step, start = built
+        assert np.array_equal(step, cumulative_columns_loop(a))
+        assert np.array_equal(start, cumulative_columns_loop(x0.reshape(-1, 1)))
 
 
 def _table_steps(cum, state, u):
@@ -666,7 +682,7 @@ def test_csoc_overtime_band_is_one_row_wide():
     # each overtime column holds two states, so its band is one row wide: the
     # table has slot 0, that row and the clamp, and a step takes two halvings
     m, _, _ = build_csoc_overtime(CsocParams())
-    table = scenarios._band_table(scenarios._cumulative_columns(m), False)
+    table = scenarios._band_table(np.cumsum(m, axis=0), False)
     assert table.slots == 3
     assert [half for half, _ in table.levels] == [1, 1]
 
@@ -731,13 +747,10 @@ def test_population_rollouts_equal_dense_kronecker_chain(model, population, init
                      init=_POPULATION_INITS[model][init_case])
     person, init, c = health_person(p)
     m, x0, joint_c = build_health_chain(p)
-    cum_cols = scenarios._cumulative_columns(person)
-    cum_x0 = np.cumsum(init)
     for seed in range(5):
         samples = sample_horizons(1, 15, 8, 60, seed) + [1, 15]
         copies = 1 + seed % 2
-        got = scenarios._rollout_costs(cum_cols, cum_x0, c, samples, copies, seed,
-                                       population)
+        got = scenarios._rollout_costs(person, init, c, samples, copies, seed, population)
         want = rollout_costs_oracle(m, x0, joint_c, samples, seed, copies)
         assert np.array_equal(got, want), f"seed {seed}"
 
@@ -838,8 +851,7 @@ def test_population_report_needs_no_joint_chain(monkeypatch):
     assert elapsed < 1.0, f"{elapsed:.2f} s"
     assert 0.0 < rep.empirical_cost < population
     g = cost_sequence_strided(person, init, c, 15).values * population
-    costs = scenarios._rollout_costs(scenarios._cumulative_columns(person),
-                                     np.cumsum(init), c, samples, 1, 3, population)
+    costs = scenarios._rollout_costs(person, init, c, samples, 1, 3, population)
     expected = float(np.mean(g[np.asarray(samples) - 1]))
     stderr = float(costs.std(ddof=1)) / np.sqrt(len(samples))
     assert abs(float(costs.mean()) - expected) <= 5.0 * stderr
